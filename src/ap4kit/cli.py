@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-input error.  ``--threads`` is accepted for interface stability; every result
-is computed with deterministic reductions, so the flag can only ever affect
-speed, never values.
+input error (unreadable or unwritable files included).  ``--threads`` must be
+at least 1 and is otherwise accepted for interface stability: every kernel
+runs single-threaded with deterministic reductions, so results never depend
+on it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import constructions as cons
 from .apcount import apk_mean_zn
-from .core import RngStream, load_signal, make_modulus, save_signal
+from .core import RngStream, load_signal, make_modulus, save_signal, write_text
 from .errors import Ap4KitError
 from .report import (
     VerificationReport,
@@ -137,9 +138,7 @@ def _cmd_search(args) -> int:
             f"{len(result.witnesses)} witnesses"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"results written to {args.out}")
     return 0
 
@@ -147,6 +146,8 @@ def _cmd_search(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         if args.command == "verify":
             return _finish_report(run_verify(args.n, args.seed, args.trials), args.out)

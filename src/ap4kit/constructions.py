@@ -14,19 +14,29 @@ rounding turns it into an actual subset of Z_n of density about 1/2 whose
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import IntervalZn, IntSignalZ, Modulus, RngStream, ZnSignal
+from .apcount import _per_d_partials
+from .core import (
+    IntervalZn,
+    IntSignalZ,
+    Modulus,
+    RngStream,
+    ZnSignal,
+    signal_from_weighted_intervals,
+)
 from .errors import (
     InvalidDesignError,
     ModulusTooSmallError,
     OutOfDomainError,
     ProbabilityOutOfRangeError,
 )
+from .spectra import quadratic_phase_signal
 
 Triple = tuple[int, int, int]
 
@@ -248,13 +258,8 @@ def build_interval_signal(m: Modulus, block_length: int | None = None) -> ZnSign
     if t < 1 or 600 * t >= m.n:
         raise ModulusTooSmallError(f"block length {t} does not fit n = {m.n}")
     f = lift_signal(sign_grid(reference_design()))
-    values = np.zeros(m.n, dtype=np.int64)
-    for k in range(1, 301):
-        v = f.value_at(k)
-        if v != 0:
-            start = (2 * k - 1) * t + 1
-            values[start : start + t] = v
-    return ZnSignal(m, values)
+    parts = [(interval_block(k, t), f.value_at(k)) for k in range(1, 301) if f.value_at(k)]
+    return signal_from_weighted_intervals(m, parts)
 
 
 def interval_progression_count(t: int) -> int:
@@ -305,14 +310,11 @@ def sample_indicator(p_signal: ZnSignal, rng: RngStream) -> ZnSignal:
     vals = p_signal.values
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
         raise ProbabilityOutOfRangeError("probabilities must lie in [0, 1]")
-    thresholds = [int(float(v) * 2.0**64) for v in vals]
-    words = rng.words(p_signal.n).tolist()
-    out = np.fromiter(
-        (1 if w < t else 0 for w, t in zip(words, thresholds)),
-        dtype=np.int64,
-        count=p_signal.n,
-    )
-    return ZnSignal(p_signal.modulus, out)
+    # p = 1 would scale to 2**64, which uint64 cannot hold; it always draws.
+    certain = vals == 1.0
+    thresholds = np.where(certain, 0.0, vals * 2.0**64).astype(np.uint64)
+    drawn = (rng.words(p_signal.n) < thresholds) | certain
+    return ZnSignal(p_signal.modulus, drawn.astype(np.int64))
 
 
 def quadratic_level_set(m: Modulus, c: float) -> ZnSignal:
@@ -390,25 +392,22 @@ def classify_patterns() -> PatternClassification:
 def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     """E over (x, d) of s(x)s(x+d)s(x+2d)s(x+3d) w^(u x^2 + v x d + w d^2).
 
-    Exponents are reduced mod n stepwise in int64; the d-partials are combined
-    in fixed order.
+    The phase splits over the first three positions as w^(p x^2 + q (x+d)^2 +
+    r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
+    invertible since n is odd), so the mean is a plain 4-AP mean of
+    phase-weighted copies of s, taken by the shared per-d kernel.
     """
     if s.is_complex:
         raise ValueError("expected a real signal")
     u, v, w = uvw
-    n = s.n
+    m = s.modulus
+    n = m.n
+    half = pow(2, -1, n)
+    q = (v - w) % n
+    r = (w - v * half) * half % n
+    p = (u - q - r) % n
     vals = s.values.astype(np.float64)
-    doubled = np.concatenate((vals, vals))
-    xs = np.arange(n, dtype=np.int64)
-    x2 = (xs * xs) % n
-    ux2 = (u % n) * x2 % n
-    table = np.exp(2j * np.pi * np.arange(n) / n)
-    total = 0.0 + 0.0j
-    for d in range(n):
-        prod = vals * doubled[d : d + n]
-        prod *= doubled[2 * d % n : 2 * d % n + n]
-        prod *= doubled[3 * d % n : 3 * d % n + n]
-        e = (ux2 + (v * d % n) * xs) % n
-        e = (e + w * d * d % n) % n
-        total += complex(prod.dot(table[e]))
+    factors = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)]
+    partials = _per_d_partials(factors + [vals]).tolist()
+    total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
     return total / (n * n)

@@ -284,40 +284,52 @@ class RngStream:
         return RngStream(_mix64((_mix64(self.seed) + (index + 1) * _GAMMA) & _MASK64))
 
 
-# --- signal file format ------------------------------------------------------
+# --- file io ------------------------------------------------------------------
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; any OS error becomes IoFailureError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
+
+
+def read_json(path):
+    """Parse the JSON file at ``path``; OS, encoding and syntax errors become IoFailureError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IoFailureError(str(exc)) from exc
 
 
 def save_signal(s: ZnSignal, path) -> None:
     """Write the JSON signal format {"n": n, "values": [...]} (real signals only)."""
     if s.is_complex:
         raise ValueError("the signal file format holds real signals only")
-    if s.exact:
-        vals = [int(v) for v in s.values]
-    else:
-        vals = [float(v) for v in s.values]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"n": s.n, "values": vals}, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
+    write_text(path, json.dumps({"n": s.n, "values": s.values.tolist()}) + "\n")
 
 
 def load_signal(path) -> ZnSignal:
-    """Load the JSON signal format; rejects wrong length or unknown fields."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailureError(str(exc)) from exc
+    """Load the JSON signal format; any malformed content raises IoFailureError."""
+    obj = read_json(path)
     if not isinstance(obj, dict) or set(obj.keys()) != {"n", "values"}:
         raise IoFailureError("signal file must contain exactly the fields 'n' and 'values'")
-    if not isinstance(obj["n"], int) or not isinstance(obj["values"], list):
+    if type(obj["n"]) is not int or not isinstance(obj["values"], list):
         raise IoFailureError("'n' must be an integer and 'values' a list")
     m = make_modulus(obj["n"])
     values = obj["values"]
     if len(values) != m.n:
         raise IoFailureError(f"expected {m.n} values, got {len(values)}")
-    if all(isinstance(v, int) for v in values):
-        return ZnSignal(m, np.array(values, dtype=np.int64))
-    return ZnSignal(m, np.array(values, dtype=np.float64))
+    kinds = {type(v) for v in values}
+    if not kinds <= {int, float}:
+        raise IoFailureError("values must be JSON numbers")
+    try:
+        arr = np.array(values, dtype=np.int64 if kinds == {int} else np.float64)
+    except OverflowError as exc:
+        raise IoFailureError(f"value out of range: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise IoFailureError("values must be finite")
+    return ZnSignal(m, arr)

@@ -25,7 +25,17 @@ import numpy as np
 
 from . import constructions as cons
 from .apcount import ap4_sum_z, apk_mean_zn
-from .core import RngStream, ZnSignal, constant_signal, make_modulus, save_signal, signal_stats
+from .core import (
+    IntervalZn,
+    RngStream,
+    ZnSignal,
+    constant_signal,
+    make_modulus,
+    read_json,
+    save_signal,
+    signal_stats,
+    write_text,
+)
 from .errors import Ap4KitError, IoFailureError
 from .spectra import (
     Spectrum,
@@ -36,7 +46,6 @@ from .spectra import (
     save_spectrum_csv,
     uniformity,
 )
-from .core import IntervalZn
 
 SCHEMA_VERSION = "1"
 
@@ -101,20 +110,12 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def save_report(report: VerificationReport, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
+    write_text(path, report_to_json(report))
 
 
 def load_report(path) -> VerificationReport:
     """Load a report; unknown fields and unknown schema versions are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailureError(str(exc)) from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or set(obj.keys()) != set(_REPORT_FIELDS):
         raise IoFailureError("report must contain exactly the schema-1 fields")
     if obj["schema_version"] != SCHEMA_VERSION:
@@ -374,7 +375,7 @@ def run_verify(
         g = state["G"]
         total = 0.0
         for size in range(4):
-            for positions in _subsets_of_size(size):
+            for positions in itertools.combinations(range(4), size):
                 sigs = [g if i in positions else ones for i in range(4)]
                 total += 4.0 ** (4 - size) * apk_mean_zn(sigs).value
         total += state["EG"]
@@ -428,10 +429,6 @@ def run_verify(
     )
 
     return VerificationReport(SCHEMA_VERSION, "verify", n, seed, runner.checks)
-
-
-def _subsets_of_size(size: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(4), size))
 
 
 def run_scaling(n_list: list[int], block_length: int | None = None) -> VerificationReport:

@@ -2,8 +2,8 @@
 
 The transform used everywhere is f^(r) = n^-1 * sum_x f(x) w^(-rx) with
 w = exp(2*pi*i/n), so f^(0) is the mean (the density, for an indicator).
-``dft`` uses an O(n log n) path for large n (valid for prime lengths);
-``dft_direct`` evaluates the defining sum and serves as the oracle.
+``dft`` is numpy's O(n log n) FFT at every length (prime lengths included);
+``dft_direct`` evaluates the defining sum and serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntervalZn, Modulus, ZnSignal
-from .errors import DegenerateQuadraticError, IoFailureError, ZeroFrequencyError
-
-# Below this length the defining O(n^2) evaluation is used unconditionally.
-DIRECT_CUTOFF = 512
+from .core import IntervalZn, Modulus, ZnSignal, write_text
+from .errors import DegenerateQuadraticError, ZeroFrequencyError
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,6 @@ class Spectrum:
             raise ValueError("coefficient count must equal the modulus")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.coeffs)
 
 
 def _direct_coeffs(values: np.ndarray, n: int) -> np.ndarray:
@@ -58,17 +52,10 @@ def dft_direct(s: ZnSignal) -> Spectrum:
 def dft(s: ZnSignal) -> Spectrum:
     """Mean-normalized transform of a signal.
 
-    For n >= DIRECT_CUTOFF a fast chirp-style algorithm is used (prime lengths
-    admit no radix FFT); it matches ``dft_direct`` within 1e-9 per coefficient.
+    numpy's FFT handles prime lengths; it matches ``dft_direct`` within 1e-9
+    per coefficient.
     """
-    if s.n < DIRECT_CUTOFF:
-        return dft_direct(s)
     return Spectrum(s.modulus, np.fft.fft(s.values.astype(np.complex128)) / s.n)
-
-
-def inverse_values(sp: Spectrum) -> np.ndarray:
-    """Reconstruct f(x) = sum_r coeffs[r] w^(rx) (complex array)."""
-    return np.fft.ifft(sp.coeffs) * sp.modulus.n
 
 
 def uniformity(sp: Spectrum) -> float:
@@ -137,10 +124,5 @@ def modulated_interval_uniformity_check(
 
 def save_spectrum_csv(sp: Spectrum, path) -> None:
     """Spectrum CSV: header r,re,im,abs, one row per frequency, 17 significant digits."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,re,im,abs\n")
-            for r, c in enumerate(sp.coeffs):
-                fh.write(f"{r},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n")
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
+    rows = (f"{r},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n" for r, c in enumerate(sp.coeffs))
+    write_text(path, "r,re,im,abs\n" + "".join(rows))

@@ -152,6 +152,16 @@ class TestApkMeanZn:
         assert floats.exact_numerator is None
         assert floats.value == pytest.approx(exact.value, abs=1e-12)
 
+    def test_numerator_reduced_without_int64_wrap(self, monkeypatch):
+        # two per-d partials of 2^62 sum to 2^63, one past the int64 range
+        monkeypatch.setattr(
+            "ap4kit.apcount._per_d_partials",
+            lambda arrays: np.array([2**62, 2**62], dtype=np.int64),
+        )
+        m = k.make_modulus(11)
+        mean = k.apk_mean_zn([k.constant_signal(m, 1)] * 4)
+        assert mean.exact_numerator == 2**63
+
     def test_dilation_invariance(self):
         n = 101
         m = k.make_modulus(n)

@@ -1,6 +1,7 @@
 """The construction chain: design, lines, embedding, interval signal,
 modulation, probability signal, sampling, and the level-set demo."""
 
+import hashlib
 import itertools
 import math
 
@@ -410,6 +411,34 @@ class TestSampling:
         c = k.sample_indicator(p10007, k.RngStream(43))
         assert (a.values == b.values).all()
         assert (a.values != c.values).any()
+
+    def test_frozen_draws_hand_built(self):
+        # recorded from the per-element reference implementation; covers the
+        # threshold edge cases 0, 1/2, the largest double below 1, and 1
+        m = k.make_modulus(11)
+        probs = [0.0, 0.5, 1 - 2.0**-53, 1.0, 0.25, 0.75, 2.0**-60, 0.999, 0.1, 1 / 3, 0.0]
+        p_signal = k.ZnSignal(m, np.array(probs))
+        frozen = {
+            0: [0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0],
+            1: [0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0],
+            2: [0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0],
+            3: [0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0],
+        }
+        for seed, expected in frozen.items():
+            assert k.sample_indicator(p_signal, k.RngStream(seed)).values.tolist() == expected
+
+    def test_frozen_draws_probability_signal_1009(self):
+        # (set size, sha256 of the packed 0/1 vector) from the reference implementation
+        frozen = {
+            0: (523, "e14ad5c02aa62e0d113f4fccac72631b151cfd479f368c0079af3c9b577c33b6"),
+            1: (544, "0c17e08b8f9e8a5be3d284026ba4064473f26b66c9ea93fba6e22ddd58ff7d46"),
+            42: (533, "f263123b5cee2d664363e82ef207db8ff4566aa29d9b81a44fa8e1414f27f772"),
+        }
+        p_signal = k.build_probability_signal(k.make_modulus(1009), block_length=1)
+        for seed, (size, digest) in frozen.items():
+            values = k.sample_indicator(p_signal, k.RngStream(seed)).values
+            packed = np.packbits(values.astype(np.uint8)).tobytes()
+            assert (int(values.sum()), hashlib.sha256(packed).hexdigest()) == (size, digest)
 
     def test_density_concentrates(self, p10007):
         mean_p = k.signal_stats(p10007).mean

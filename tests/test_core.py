@@ -223,6 +223,43 @@ class TestSignalFiles:
         with pytest.raises(IoFailureError):
             k.load_signal(path)
 
+    MALFORMED = {
+        "bool-value": b'{"n": 5, "values": [0, 1, true, 0, 1]}',
+        "all-bool": b'{"n": 5, "values": [false, false, false, false, false]}',
+        "bool-n": b'{"n": true, "values": [0]}',
+        "nan": b'{"n": 5, "values": [0.5, NaN, 0.5, 0.5, 0.5]}',
+        "infinity": b'{"n": 5, "values": [0, Infinity, 0, 0, 0]}',
+        "minus-infinity": b'{"n": 5, "values": [0, -Infinity, 0, 0, 0]}',
+        "float-overflow": b'{"n": 5, "values": [0, 1e400, 0, 0, 0]}',
+        "int-beyond-int64": b'{"n": 5, "values": [0, 9223372036854775808, 0, 0, 0]}',
+        "huge-int-among-floats": b'{"n": 5, "values": [0.5, 1' + b"0" * 400 + b', 0, 0, 0]}',
+        "string": b'{"n": 5, "values": [0, "1", 0, 0, 0]}',
+        "null": b'{"n": 5, "values": [0, null, 0, 0, 0]}',
+        "nested-list": b'{"n": 5, "values": [0, [1], 0, 0, 0]}',
+        "truncated": b'{"n": 5, "values": [0, 1, 0, 0, 0',
+        "invalid-utf8": b'{"n": 5, "values": [0, 0, 0, 0, 0]}\xff',
+    }
+
+    @pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_reject_malformed_values(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(IoFailureError):
+            k.load_signal(path)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"n": 5, "values": [-(2**63), 2**63 - 1, 0, 0, 0]}))
+        assert k.load_signal(path).values.tolist() == [-(2**63), 2**63 - 1, 0, 0, 0]
+
+    def test_save_bytes_unchanged(self, tmp_path):
+        m = k.make_modulus(5)
+        path = tmp_path / "sig.json"
+        k.save_signal(k.ZnSignal(m, np.array([0, -1, 1, 0, 2])), path)
+        assert path.read_text() == '{"n": 5, "values": [0, -1, 1, 0, 2]}\n'
+        k.save_signal(k.ZnSignal(m, np.array([0.0, 0.5, 0.1, -1.0, 1e300])), path)
+        assert path.read_text() == '{"n": 5, "values": [0.0, 0.5, 0.1, -1.0, 1e+300]}\n'
+
     def test_reject_composite_modulus(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 9, "values": [0] * 9}))

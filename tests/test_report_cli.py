@@ -219,6 +219,24 @@ class TestCli:
         assert payload["space"] == "grid"
         assert len(payload["witnesses"]) == 8
 
+    def test_search_out_unwritable_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.json"
+        assert main(["search", "pm1", "--n", "6", "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exits_2(self, threads):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", threads, "search", "grid"])
+        assert err.value.code == 2
+
+    def test_count_rejects_nan_signal(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 5, "values": [0.5, NaN, 0.5, 0.5, 0.5]}')
+        assert main(["count", "--file", str(path), "--k", "4"]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_search_pm1_requires_n(self, capsys):
         assert main(["search", "pm1"]) == 2
 

@@ -63,8 +63,8 @@ class TestDftBasics:
             assert max(abs(sp.coeffs[r] - ref[r]) for r in range(n)) < 1e-9
 
     def test_fast_path_matches_direct(self):
-        # 1009 and 2003 take the fast path (>= DIRECT_CUTOFF), both prime
-        for n, seed in ((1009, 3), (2003, 4)):
+        # small and large prime lengths
+        for n, seed in ((101, 2), (1009, 3), (2003, 4)):
             m = k.make_modulus(n)
             s = _random_signal(m, seed)
             fast = k.dft(s).coeffs
@@ -72,12 +72,10 @@ class TestDftBasics:
             assert float(np.abs(fast - direct).max()) < 1e-9
 
     def test_inversion(self):
-        from ap4kit.spectra import inverse_values
-
         m = k.make_modulus(101)
         for seed in range(50):
             s = _random_signal(m, seed + 10)
-            rec = inverse_values(k.dft(s))
+            rec = np.fft.ifft(k.dft(s).coeffs) * m.n
             assert float(np.abs(rec - s.values).max()) < 1e-9
 
 
