@@ -51,19 +51,25 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A prime modulus n >= 5 (so 2 and 3 are invertible). Build via make_modulus."""
+    """A prime modulus 5 <= n < 2**31 (so 2, 3 and every position difference are invertible).
+
+    Construction validates n, so no Modulus holds a composite: the progression
+    closed forms in ``apcount`` depend on it.
+    """
 
     n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 5:
+            raise TooSmallError(f"modulus must be at least 5, got {self.n}")
+        if self.n >= MAX_MODULUS:
+            raise TooLargeError(f"moduli must be below 2**31, got {self.n}")
+        if not is_prime(self.n):
+            raise NotPrimeError(f"{self.n} is not prime")
 
 
 def make_modulus(n: int) -> Modulus:
     """Validate n and return a Modulus, or raise TooSmall / TooLarge / NotPrime."""
-    if n < 5:
-        raise TooSmallError(f"modulus must be at least 5, got {n}")
-    if n >= MAX_MODULUS:
-        raise TooLargeError(f"moduli must be below 2**31, got {n}")
-    if not is_prime(n):
-        raise NotPrimeError(f"{n} is not prime")
     return Modulus(n)
 
 
@@ -297,11 +303,15 @@ def write_text(path, text: str) -> None:
 
 
 def read_json(path):
-    """Parse the JSON file at ``path``; OS, encoding and syntax errors become IoFailureError."""
+    """Parse the JSON file at ``path``; OS, encoding, syntax and depth errors become IoFailureError.
+
+    ValueError covers UnicodeDecodeError, JSONDecodeError and integers past
+    Python's digit limit; RecursionError is nesting past the parser's depth.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise IoFailureError(str(exc)) from exc
 
 

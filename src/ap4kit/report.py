@@ -36,7 +36,7 @@ from .core import (
     signal_stats,
     write_text,
 )
-from .errors import Ap4KitError, IoFailureError
+from .errors import IoFailureError
 from .spectra import (
     Spectrum,
     dft,
@@ -156,11 +156,10 @@ class _Runner:
         t0 = time.perf_counter()
         try:
             measured, bound, passed, vacuous = fn()
-        except Ap4KitError as exc:
+        except Exception as exc:  # a failed stage is recorded; the report is kept
             ms = 1000.0 * (time.perf_counter() - t0)
-            self.checks.append(
-                CheckRecord(name, claim_ref, {"error": str(exc)}, None, False, ms)
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            self.checks.append(CheckRecord(name, claim_ref, {"error": error}, None, False, ms))
             self.aborted = True
             return
         ms = 1000.0 * (time.perf_counter() - t0)
@@ -189,6 +188,14 @@ def run_verify(
     probability signal, the 16-term bracket expansion, and ``trials``
     independent rounding draws checked against the n^-1/2 ln n concentration
     threshold.  Deterministic given (n, seed, trials).
+
+    The bracket expansion's 15 terms with at most three G factors are
+    complexity-1 patterns that ``apk_mean_zn`` answers without its O(n^2)
+    kernel (the all-ones term exactly, one and two G factors from mean(G),
+    three by a Fourier sum); E[G^4] and the direct E[P^4] they are checked
+    against still run through the kernel, so the 1e-10 identity compares two
+    independent methods.  A stage that raises is recorded as a failed check
+    with its error, and the later stages are skipped.
     """
     m = make_modulus(n)
     if n < 6000:
@@ -494,6 +501,9 @@ def run_demo_quadratic(n: int, c: float) -> VerificationReport:
     density 1/2 all counts sit close to the random values.
     """
     m = make_modulus(n)
+    if not 0.0 < c < 0.25:
+        # checked before the stages so that a bad c is an input error, not a failed check
+        raise ValueError("c must lie in (0, 1/4)")
     runner = _Runner()
     state: dict = {}
 

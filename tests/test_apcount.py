@@ -1,11 +1,13 @@
 """Exact and floating progression-counting kernels against brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ap4kit as k
+from ap4kit.apcount import _per_d_partials
 from ap4kit.errors import ModulusMismatchError, NotIndicatorError
 
 
@@ -153,13 +155,14 @@ class TestApkMeanZn:
         assert floats.value == pytest.approx(exact.value, abs=1e-12)
 
     def test_numerator_reduced_without_int64_wrap(self, monkeypatch):
-        # two per-d partials of 2^62 sum to 2^63, one past the int64 range
+        # two per-d partials of 2^62 sum to 2^63, one past the int64 range;
+        # the signal is non-constant so that the kernel path is taken
         monkeypatch.setattr(
             "ap4kit.apcount._per_d_partials",
             lambda arrays: np.array([2**62, 2**62], dtype=np.int64),
         )
         m = k.make_modulus(11)
-        mean = k.apk_mean_zn([k.constant_signal(m, 1)] * 4)
+        mean = k.apk_mean_zn([k.ZnSignal(m, np.arange(11) % 3 - 1)] * 4)
         assert mean.exact_numerator == 2**63
 
     def test_dilation_invariance(self):
@@ -171,6 +174,54 @@ class TestApkMeanZn:
         for u in (2, 5, 100):
             dilated = k.ZnSignal(m, vals[(u * xs) % n])
             assert k.apk_mean_zn([dilated] * 4).exact_numerator == base
+
+
+def _pattern_cases(n, count, seed):
+    """Every choice of constant positions and constant, on exact and float signals."""
+    m = k.make_modulus(n)
+    rng = np.random.default_rng(seed)
+    for size in range(count + 1):
+        for held in itertools.combinations(range(count), size):
+            for c in (0, 1, -3, 0.5):
+                for dtype in (np.int64, np.float64):
+                    yield [
+                        k.constant_signal(m, c)
+                        if i in held
+                        else k.ZnSignal(m, rng.integers(-3, 4, n).astype(dtype))
+                        for i in range(count)
+                    ]
+
+
+class TestClosedForms:
+    """Constant inputs factored out; the O(n^2) kernel is the oracle."""
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    def test_matches_kernel(self, n, count):
+        for sigs in _pattern_cases(n, count, seed=100 * n + count):
+            mean = k.apk_mean_zn(sigs)
+            assert mean.pair_count == n * n
+            if mean.exact_numerator is not None:
+                assert all(s.exact for s in sigs)
+                oracle = sum(_per_d_partials([s.values for s in sigs]).tolist())
+                assert mean.exact_numerator == oracle
+                assert mean.value == oracle / (n * n)
+            else:
+                arrays = [s.values.astype(np.float64) for s in sigs]
+                oracle = math.fsum(_per_d_partials(arrays).tolist()) / (n * n)
+                assert abs(mean.value - oracle) <= 1e-12
+
+    def test_kernel_not_called_for_closed_forms(self, monkeypatch):
+        def kernel(arrays):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr("ap4kit.apcount._per_d_partials", kernel)
+        for count in (3, 4, 5):
+            for sigs in _pattern_cases(11, count, seed=count):
+                free = sum(1 for s in sigs if not (s.values == s.values[0]).all())
+                exact = all(s.exact for s in sigs)
+                if free <= (2 if exact else 3):
+                    k.apk_mean_zn(sigs)
 
 
 class TestProfile:

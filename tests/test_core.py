@@ -40,6 +40,13 @@ class TestMakeModulus:
         with pytest.raises(TooLargeError):
             k.make_modulus(2**31)
 
+    def test_direct_construction_validated(self):
+        assert k.Modulus(11) == k.make_modulus(11)
+        with pytest.raises(NotPrimeError):
+            k.Modulus(12)
+        with pytest.raises(TooSmallError):
+            k.Modulus(4)
+
     def test_matches_sieve_up_to_1e5(self):
         flags = _sieve(100_000)
         for n in range(5, 100_001):
@@ -238,6 +245,8 @@ class TestSignalFiles:
         "nested-list": b'{"n": 5, "values": [0, [1], 0, 0, 0]}',
         "truncated": b'{"n": 5, "values": [0, 1, 0, 0, 0',
         "invalid-utf8": b'{"n": 5, "values": [0, 0, 0, 0, 0]}\xff',
+        "nested-too-deep": b"[" * 100000,
+        "int-too-many-digits": b'{"n": 5, "values": [0, 1' + b"0" * 5000 + b', 0, 0, 0]}',
     }
 
     @pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())

@@ -1,9 +1,15 @@
 """Pipeline reports, serialization, and the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ap4kit as k
 from ap4kit.cli import main
@@ -168,6 +174,42 @@ class TestRunDemo:
         assert report.check("threeap_vs_cube").measured["value"] <= 0.1
 
 
+class TestStageCrash:
+    """A stage raising a non-package exception fails that stage; the report survives."""
+
+    @pytest.fixture
+    def crashing_level_set(self, monkeypatch):
+        def crash(m, c):
+            raise RuntimeError("level set unavailable")
+
+        monkeypatch.setattr(k.constructions, "quadratic_level_set", crash)
+
+    def _assert_failed_first_stage(self, report):
+        first, *rest = report.checks
+        assert first.name == "level_set_density"
+        assert first.passed is False and not first.skipped
+        assert first.measured == {"error": "RuntimeError: level set unavailable"}
+        names = ["level_set_uniformity", "threeap_vs_cube", "fourap_excess"]
+        assert [c.name for c in rest] == names
+        assert all(c.skipped and c.passed is None for c in rest)
+        assert not report.passed()
+
+    def test_report_records_error(self, crashing_level_set):
+        self._assert_failed_first_stage(k.run_demo_quadratic(101, 0.05))
+
+    def test_cli_writes_report_and_exits_1(self, crashing_level_set, tmp_path, capsys):
+        out = tmp_path / "quad.json"
+        assert main(["demo-quad", "--n", "101", "--c", "0.05", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "result: FAIL" in captured.out
+        assert "Traceback" not in captured.err
+        self._assert_failed_first_stage(k.load_report(out))
+
+    def test_bad_c_is_input_error(self, capsys):
+        assert main(["demo-quad", "--n", "101", "--c", "0.3"]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestCli:
     def test_verify_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -286,3 +328,93 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["spectrum", "--construction", "Q", "--n", "11", "--csv", "x"])
         assert err.value.code == 2
+
+
+# --- the exit-code contract over generated command lines ----------------------
+
+_N = st.one_of(
+    st.sampled_from(["5", "7", "11", "13", "101"]),
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["abc", "", "7.0", "1e3", "2147483648", str(10**30)]),
+)
+_C = st.one_of(
+    st.floats(0.001, 0.249).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0.05", "0.2", "x"]),
+)
+_OUT = st.sampled_from(["{dir}/out", "{dir}/missing/out", "{dir}"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_SIGNAL_TEXT = st.sampled_from([5, 7, 11]).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.integers(-70, 70), st.floats(-1e3, 1e3)), min_size=n - 1, max_size=n + 1
+    ).map(lambda values: json.dumps({"n": n, "values": values}))
+)
+_FILE = st.one_of(
+    st.binary(max_size=48),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.text(max_size=48).map(str.encode),
+    _SIGNAL_TEXT.map(str.encode),
+    st.sampled_from([b"[" * 100000, b'{"n": 5, "values": [' + b"1" * 5000 + b"]}"]),
+)
+_FLAGS = st.lists(st.sampled_from(["--bogus", "--n", "--threads", "-h", "0"]), max_size=2)
+
+
+def _opt(name, values):
+    """The option with a generated value, or (less often) left out."""
+    given_value = values.map(lambda v: [name, v])
+    return st.one_of(given_value, given_value, st.just([]))
+
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["count", "--file", "{dir}/signal.json"]),
+        _opt("--k", st.sampled_from(["2", "3", "4", "5", "x"])),
+    ),
+    st.tuples(
+        st.sampled_from(["F", "G", "P", "A", "quad_levelset", "Q"]).map(
+            lambda c: ["build", "--construction", c]
+        ),
+        _opt("--n", _N),
+        _opt("--seed", st.integers(-2, 3).map(str)),
+        _opt("--c", _C),
+        _opt("--out", _OUT),
+    ),
+    st.tuples(st.just(["demo-quad"]), _opt("--n", _N), _opt("--c", _C), _opt("--out", _OUT)),
+    st.tuples(
+        st.sampled_from(["grid", "pm1", "ternary", "other"]).map(lambda s: ["search", s]),
+        _opt("--n", st.one_of(st.integers(-2, 9).map(str), st.just("x"))),
+        _opt("--max-results", st.sampled_from(["1", "2", "-1"])),
+        _opt("--out", _OUT),
+    ),
+    st.tuples(
+        st.sampled_from(["F", "G", "P", "Z"]).map(lambda c: ["spectrum", "--construction", c]),
+        _opt("--n", _N),
+        _opt("--csv", _OUT),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_ARGV, flags=_FLAGS, content=_FILE)
+    @example(argv=["count", "--file", "{dir}/signal.json"], flags=[], content=b"[" * 100000)
+    def test_exit_code_in_contract(self, argv, flags, content):
+        # exit 0 passed, 1 only from a report with a failed check, 2 usage or input error
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "signal.json"), "wb") as fh:
+                fh.write(content)
+            args = [a.replace("{dir}", tmp) for a in argv] + flags
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2), (args, code, err.getvalue())
+        if code == 1:
+            assert "result: FAIL" in out.getvalue(), args
