@@ -1,10 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-input error (unreadable or unwritable files included).  ``--threads`` must be
-at least 1 and is otherwise accepted for interface stability: every kernel
-runs single-threaded with deterministic reductions, so results never depend
-on it.
+input error (unreadable or unwritable files included).
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ap4kit",
         description="Construct, count and verify sign patterns on Z_n with scarce 4-term progressions.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="reserved; results never depend on it"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -146,8 +140,6 @@ def _cmd_search(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         if args.command == "verify":
             return _finish_report(run_verify(args.n, args.seed, args.trials), args.out)

@@ -395,7 +395,9 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     The phase splits over the first three positions as w^(p x^2 + q (x+d)^2 +
     r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
     invertible since n is odd), so the mean is a plain 4-AP mean of
-    phase-weighted copies of s, taken by the shared per-d kernel.
+    phase-weighted copies of s, taken by the shared per-d kernel.  The
+    weighted copies keep the support of s, so the kernel's cost is
+    |supp(s)| * n products.
     """
     if s.is_complex:
         raise ValueError("expected a real signal")

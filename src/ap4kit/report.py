@@ -190,11 +190,13 @@ def run_verify(
     threshold.  Deterministic given (n, seed, trials).
 
     The bracket expansion's 15 terms with at most three G factors are
-    complexity-1 patterns that ``apk_mean_zn`` answers without its O(n^2)
+    complexity-1 patterns that ``apk_mean_zn`` answers without its per-d
     kernel (the all-ones term exactly, one and two G factors from mean(G),
     three by a Fourier sum); E[G^4] and the direct E[P^4] they are checked
     against still run through the kernel, so the 1e-10 identity compares two
-    independent methods.  A stage that raises is recorded as a failed check
+    independent methods.  The kernel sums over the support of its sparsest
+    input: E[G^4] costs |supp(G)| * n, about 0.05 n^2, and the dense E[P^4]
+    costs n^2.  A stage that raises is recorded as a failed check
     with its error, and the later stages are skipped.
     """
     m = make_modulus(n)
@@ -445,8 +447,11 @@ def run_scaling(n_list: list[int], block_length: int | None = None) -> Verificat
     |EG - 2 EF| are recorded raw and divided by n^-1/2 ln n; consecutive
     normalized values must stay within a factor 10 of each other.  |mean G| is
     recorded for reference (its normalized value can fluctuate through zero,
-    so no band is asserted on it).
+    so no band is asserted on it).  An empty n_list is a ValueError: a series
+    that measures nothing must not pass.
     """
+    if not n_list:
+        raise ValueError("the scaling series needs at least one modulus")
     rows = []
     runner = _Runner()
     for n in n_list:

@@ -30,16 +30,19 @@ def _brute_ap4_sum(f: k.IntSignalZ) -> int:
     return total
 
 
-def _brute_apk_mean(arrays, n):
-    """Naive O(n^2 k) loop with explicit modular indexing."""
-    total = 0
+def _brute_partials(arrays):
+    """partials[d] = sum_x prod_i arrays[i][(x + i d) mod n], a plain double sum over (x, d)."""
+    n = len(arrays[0])
+    partials = []
     for d in range(n):
+        total = 0
         for x in range(n):
             prod = 1
             for i, a in enumerate(arrays):
                 prod *= a[(x + i * d) % n]
             total += prod
-    return total
+        partials.append(total)
+    return partials
 
 
 def _random_int_signal(n, seed, lo=-2, hi=2):
@@ -135,7 +138,7 @@ class TestApkMeanZn:
                     arrays.append(vals)
                     sigs.append(k.ZnSignal(m, np.array(vals, dtype=np.int64)))
                 mean = k.apk_mean_zn(sigs)
-                assert mean.exact_numerator == _brute_apk_mean(arrays, n)
+                assert mean.exact_numerator == sum(_brute_partials(arrays))
                 assert mean.value == mean.exact_numerator / mean.pair_count
 
     def test_k3_matches_brute_force(self):
@@ -143,7 +146,7 @@ class TestApkMeanZn:
         m = k.make_modulus(n)
         arrays = [_random_int_signal(n, 5000 + j) for j in range(3)]
         sigs = [k.ZnSignal(m, np.array(a, dtype=np.int64)) for a in arrays]
-        assert k.apk_mean_zn(sigs).exact_numerator == _brute_apk_mean(arrays, n)
+        assert k.apk_mean_zn(sigs).exact_numerator == sum(_brute_partials(arrays))
 
     def test_float_path_agrees_with_exact(self):
         n = 101
@@ -192,8 +195,46 @@ def _pattern_cases(n, count, seed):
                     ]
 
 
+def _kernel_cases(n, count, dtype, seed):
+    """The sparsest input at each position, one all-zero input, and all inputs dense."""
+    rng = np.random.default_rng(seed)
+
+    def values(nonzeros):
+        vals = np.zeros(n, dtype=dtype)
+        at = rng.choice(n, nonzeros, replace=False)
+        vals[at] = rng.integers(1, 4, nonzeros) * rng.choice((-1, 1), nonzeros)
+        if dtype != np.int64:
+            vals[at] *= rng.uniform(0.5, 1.0, nonzeros)
+        if dtype == np.complex128:
+            vals[at] *= np.exp(2j * np.pi * rng.random(nonzeros))
+        return vals
+
+    sparse, denser = max(1, n // 10), n // 2 + 1
+    for pivot in range(count):
+        yield [values(sparse if i == pivot else denser) for i in range(count)]
+    yield [values(0 if i == seed % count else denser) for i in range(count)]
+    yield [values(n) for _ in range(count)]
+
+
+class TestKernel:
+    """The per-d kernel against a plain double sum over (x, d)."""
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+    def test_matches_brute_force(self, n, count, dtype):
+        for arrays in _kernel_cases(n, count, dtype, seed=100 * n + count):
+            got = _per_d_partials(arrays)
+            assert got.dtype == dtype
+            want = _brute_partials([a.tolist() for a in arrays])
+            if dtype == np.int64:
+                assert got.tolist() == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestClosedForms:
-    """Constant inputs factored out; the O(n^2) kernel is the oracle."""
+    """Constant inputs factored out; the per-d kernel is the oracle."""
 
     @pytest.mark.parametrize("n", [5, 7, 11, 101])
     @pytest.mark.parametrize("count", [3, 4, 5])

@@ -267,12 +267,6 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one_exits_2(self, threads):
-        with pytest.raises(SystemExit) as err:
-            main(["--threads", threads, "search", "grid"])
-        assert err.value.code == 2
-
     def test_count_rejects_nan_signal(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"n": 5, "values": [0.5, NaN, 0.5, 0.5, 0.5]}')
@@ -285,6 +279,13 @@ class TestCli:
     def test_scaling_command(self, capsys):
         assert main(["scaling", "--n-list", "6007,10007"]) == 0
         assert "result: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_list", ["", ",", " , "])
+    def test_scaling_empty_n_list_exits_2(self, n_list, capsys):
+        assert main(["scaling", "--n-list", n_list]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert "result:" not in captured.out
 
     def test_build_interval_signal(self, tmp_path):
         out = tmp_path / "F.json"
@@ -390,6 +391,10 @@ _ARGV = st.one_of(
         _opt("--n", st.one_of(st.integers(-2, 9).map(str), st.just("x"))),
         _opt("--max-results", st.sampled_from(["1", "2", "-1"])),
         _opt("--out", _OUT),
+    ),
+    st.tuples(
+        st.just(["scaling"]),
+        _opt("--n-list", st.sampled_from(["", ",", "x", "9", "101", "101,9"])),
     ),
     st.tuples(
         st.sampled_from(["F", "G", "P", "Z"]).map(lambda c: ["spectrum", "--construction", c]),
