@@ -68,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="exhaustive searches")
     p_search.add_argument("space", choices=("grid", "pm1", "ternary"))
     p_search.add_argument("--n", type=int, default=None)
-    p_search.add_argument("--max-results", type=int, default=0)
+    p_search.add_argument(
+        "--max-results", type=int, default=0, help="grid only: stop after this many (0 = all)"
+    )
     p_search.add_argument("--out", type=str, default=None)
 
     return parser
@@ -124,6 +126,9 @@ def _cmd_search(args) -> int:
     else:
         if args.n is None:
             print("search pm1/ternary requires --n", file=sys.stderr)
+            return 2
+        if args.max_results:
+            print("--max-results applies to search grid only", file=sys.stderr)
             return 2
         result = min_ap4_pm1(args.n) if args.space == "pm1" else min_ap4_ternary(args.n)
         payload = _search_result_json(args.space, args.n, result)

@@ -448,14 +448,20 @@ def run_scaling(n_list: list[int], block_length: int | None = None) -> Verificat
     normalized values must stay within a factor 10 of each other.  |mean G| is
     recorded for reference (its normalized value can fluctuate through zero,
     so no band is asserted on it).  An empty n_list is a ValueError: a series
-    that measures nothing must not pass.
+    that measures nothing must not pass.  Without ``block_length`` every
+    modulus must pass the interval-signal gate before any stage runs, so a
+    modulus too small for it is an input error, not a failed measurement.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
+    moduli = [make_modulus(n) for n in n_list]
+    if block_length is None:
+        for m in moduli:
+            cons.interval_block_length(m)
     rows = []
     runner = _Runner()
-    for n in n_list:
-        m = make_modulus(n)
+    for m in moduli:
+        n = m.n
 
         def measure(m=m, n=n):
             f = cons.build_interval_signal(m, block_length)

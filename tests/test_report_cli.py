@@ -287,6 +287,28 @@ class TestCli:
         assert "error" in captured.err
         assert "result:" not in captured.out
 
+    @pytest.mark.parametrize("n_list", ["101", "10007,101"])
+    def test_scaling_modulus_below_gate_exits_2(self, n_list, capsys):
+        # rejected before any stage runs, like verify --n 101
+        assert main(["scaling", "--n-list", n_list]) == 2
+        captured = capsys.readouterr()
+        assert "no integer block length" in captured.err
+        assert "result:" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "grid", "--max-results", "-3"],
+            ["search", "pm1", "--n", "5", "--max-results", "2"],
+            ["search", "ternary", "--n", "5", "--max-results", "-1"],
+        ],
+    )
+    def test_search_bad_max_results_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err
+        assert "designs" not in captured.out
+
     def test_build_interval_signal(self, tmp_path):
         out = tmp_path / "F.json"
         assert main(["build", "--construction", "F", "--n", "6007", "--out", str(out)]) == 0
@@ -362,7 +384,9 @@ _FILE = st.one_of(
     _SIGNAL_TEXT.map(str.encode),
     st.sampled_from([b"[" * 100000, b'{"n": 5, "values": [' + b"1" * 5000 + b"]}"]),
 )
-_FLAGS = st.lists(st.sampled_from(["--bogus", "--n", "--threads", "-h", "0"]), max_size=2)
+_FLAGS = st.lists(
+    st.sampled_from(["--bogus", "--n", "--threads", "-h", "0", "--max-results=-1"]), max_size=2
+)
 
 
 def _opt(name, values):
