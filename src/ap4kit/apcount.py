@@ -7,23 +7,26 @@ run over every integer pair, d of any sign.
 the first).  With j non-constant inputs left and n prime, the patterns of
 complexity 1 have closed forms: j <= 2 gives the product of the constants
 and of the inputs' means, because (x + a d, x + b d) runs over Z_n^2 once
-when a != b; j = 3 with float inputs is a sum over the n frequencies of
-products of three Fourier coefficients.  Exact inputs with j <= 2 get their
-numerator from Python-integer sums, so exact results stay exact and equal
-the kernel's.  Everything else (exact inputs with j = 3, any j >= 4, the
-per-d profiles and the phase-modulated means of ``constructions``) goes
-through the one per-d kernel ``_per_d_partials``.  It sums over the support
-of its sparsest input only, at a cost of O(|supp| * n) element products:
-about 0.05 n^2 on the interval and modulated signals, n^2 on a dense
-signal.  Every d-partial is built in fixed order (support points in
-increasing order), and the d-partials are combined in fixed order (in Python
-integers when every input signal is integer-valued, compensated summation
-otherwise), which makes results bit-stable run to run.
+when a != b; j = 3 is one cyclic convolution of two dilated inputs,
+gathered against the third (``_three_input_sum``), for exact and float
+inputs alike.  Exact inputs get their numerator from Python integers (the
+j = 3 convolution from one big-integer multiply), so exact results stay
+exact and equal the kernel's; float inputs with j = 3 convolve by FFT.
+Everything else (any j >= 4, the per-d profiles and the phase-modulated
+means of ``constructions``) goes through the one per-d kernel
+``_per_d_partials``.  It sums over the support of its sparsest input only,
+at a cost of O(|supp| * n) element products: about 0.05 n^2 on the interval
+and modulated signals, n^2 on a dense signal.  Every d-partial is built in
+fixed order (support points in increasing order), and the d-partials are
+combined in fixed order (in Python integers when every input signal is
+integer-valued, compensated summation otherwise), which makes results
+bit-stable run to run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,27 +106,67 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _fourier_3_mean(free: list[tuple[int, np.ndarray]], n: int) -> float:
-    """E over (x, d) of f(x + a d) g(x + b d) h(x + c d), free = [(a, f), (b, g), (c, h)].
+def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(f * h)(t) = sum_p f(p) h((t - p) mod n), exactly, for integer arrays in [-64, 64].
 
-    n must be prime.  With coefficients fft / n, only frequency triples (r, s, t)
-    with r + s + t = 0 and a r + b s + c t = 0 survive: s = -(c - a)(b - a)^-1 t
-    and r = -s - t, so the mean is the sum over t of fh[r] gh[s] hh[t].
+    Kronecker substitution: each input becomes one big integer, entry i in the
+    i-th fixed-width little-endian byte slot, and one Python multiply gives
+    the linear convolution, folded mod n afterwards.  An input with negative
+    values is first shifted by its minimum m to F = f - m >= 0; then
+    f * h = F * H + m_h sum(F) + m_f sum(H) + n m_f m_h.  A linear
+    coefficient of F * H is at most max(F) max(H) n <= 2^14 * 2^31, so it
+    fits its slot and, folded, int64.
+    """
+    n = f.shape[0]
+    shift_f, shift_h = min(int(f.min()), 0), min(int(h.min()), 0)
+    big_f, big_h = f - shift_f, h - shift_h
+    width = max(1, ((int(big_f.max()) * int(big_h.max()) * n).bit_length() + 7) // 8)
+
+    def pack(v: np.ndarray) -> int:
+        slots = np.zeros((n, width), dtype=np.uint8)
+        slots[:, 0] = v  # 0 <= v <= 128
+        return int.from_bytes(slots.tobytes(), byteorder="little")
+
+    product = pack(big_f) * pack(big_h)
+    words = np.zeros((2 * n, 8), dtype=np.uint8)
+    words[:, :width] = np.frombuffer(
+        product.to_bytes(2 * n * width, byteorder="little"), dtype=np.uint8
+    ).reshape(2 * n, width)
+    linear = words.view("<i8").ravel()  # every slot is below 2^48
+    correction = shift_h * int(big_f.sum()) + shift_f * int(big_h.sum()) + n * shift_f * shift_h
+    return linear[:n] + linear[n:] + correction
+
+
+def _three_input_sum(free: list[tuple[int, np.ndarray]], exact: bool) -> int | float:
+    """Sum over all (x, d) of f(x + a d) g(x + b d) h(x + c d), free = [(a, f), (b, g), (c, h)].
+
+    n must be prime and a < b < c < 5 <= n.  (c - b)(x + a d) + (b - a)(x + c d)
+    = (c - a)(x + b d), and (x, d) -> (x + a d, x + c d) is a bijection of
+    Z_n^2, so with f'(v) = f(v / (c - b)) and h'(v) = h(v / (b - a)) the sum
+    is sum_y g(y) (f' * h')((c - a) y), where * is the cyclic convolution.
+    Exact inputs convolve by one big-integer multiply and gather in Python
+    integers; float inputs convolve by FFT and gather with fsum.
     """
     (a, f), (b, g), (c, h) = free
-    fh, gh, hh = (np.fft.fft(v.astype(np.float64)) / n for v in (f, g, h))
-    t = np.arange(n, dtype=np.int64)
-    s = (-(c - a) * pow(b - a, -1, n)) % n * t % n  # both factors < n < 2^31: no int64 wrap
-    r = (-s - t) % n
-    return math.fsum((fh[r] * gh[s] * hh).real.tolist())
+    n = f.shape[0]
+    z = np.arange(n, dtype=np.int64)  # z times a residue < n < 2^31: no int64 wrap
+    f_dil = f[z * pow(c - b, -1, n) % n]
+    h_dil = h[z * pow(b - a, -1, n) % n]
+    at = z * (c - a) % n
+    if exact:
+        conv = _cyclic_convolution(f_dil, h_dil)
+        return sum(map(operator.mul, g.tolist(), conv[at].tolist()))
+    conv = np.fft.irfft(np.fft.rfft(f_dil) * np.fft.rfft(h_dil), n)
+    return math.fsum((g * conv[at]).tolist())
 
 
 def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     """Mean over all n^2 pairs (x, d) of prod_i signals[i](x + i*d), k = len(signals).
 
     Exact integer path when every signal is integer-valued.  Constant inputs
-    are factored out first; with j non-constant inputs left, j <= 2 (and
-    j = 3 on float inputs) is answered in closed form, the rest by the
+    are factored out first; with j non-constant inputs left, j <= 2 is
+    answered in closed form, j = 3 by one cyclic convolution (a big-integer
+    multiply on exact inputs, an FFT on float inputs) and j >= 4 by the
     per-d kernel.
     """
     k = len(signals)
@@ -145,22 +188,24 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
             constants.append(s.values[0])
         else:
             free.append((i, s.values))
-    if exact and len(free) <= 2:
-        # |sum| <= 64 n < 2^37, so the int64 sums are exact.
-        numerator = n ** (2 - len(free)) * math.prod(int(c) for c in constants)
-        numerator *= math.prod(int(v.sum()) for _, v in free)
-        return ApMean(numerator / (n * n), numerator, n * n)
     if exact:
-        # Each per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so int64 holds
-        # it; the sum over d can pass 2^63, so it is reduced in Python integers.
-        partials = _per_d_partials([s.values for s in signals])
-        numerator = sum(partials.tolist())
+        scale = math.prod(int(c) for c in constants)
+        if len(free) <= 2:
+            # |sum| <= 64 n < 2^37, so the int64 sums are exact.
+            numerator = scale * n ** (2 - len(free)) * math.prod(int(v.sum()) for _, v in free)
+        elif len(free) == 3:
+            numerator = scale * _three_input_sum(free, exact=True)
+        else:
+            # Each per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so int64
+            # holds it; the sum over d can pass 2^63, so it is reduced in
+            # Python integers.
+            numerator = sum(_per_d_partials([s.values for s in signals]).tolist())
         return ApMean(numerator / (n * n), numerator, n * n)
     scale = math.prod(float(c) for c in constants)
     if len(free) <= 2:
         value = scale * math.prod(math.fsum(v.tolist()) / n for _, v in free)
     elif len(free) == 3:
-        value = scale * _fourier_3_mean(free, n)
+        value = scale * _three_input_sum(free, exact=False) / (n * n)
     else:
         partials = _per_d_partials([s.values.astype(np.float64) for s in signals])
         value = math.fsum(partials.tolist()) / (n * n)

@@ -114,6 +114,9 @@ def _search_result_json(space: str, n: int | None, result: SearchResult) -> dict
 
 def _cmd_search(args) -> int:
     if args.space == "grid":
+        if args.n is not None:
+            print("--n applies to search pm1/ternary only", file=sys.stderr)
+            return 2
         designs = search_grid_designs(args.max_results)
         payload = {
             "space": "grid",

@@ -352,17 +352,6 @@ class PatternCoeffs:
     def from_signs(cls, p: int, q: int, r: int, s: int) -> "PatternCoeffs":
         return cls(p, q, r, s, p + q + r + s, 2 * (q + 2 * r + 3 * s), q + 4 * r + 9 * s)
 
-    def theta_direct(self, x: int, d: int) -> int:
-        return (
-            self.p * x * x
-            + self.q * (x + d) ** 2
-            + self.r * (x + 2 * d) ** 2
-            + self.s * (x + 3 * d) ** 2
-        )
-
-    def theta_collapsed(self, x: int, d: int) -> int:
-        return self.u * x * x + self.v * x * d + self.w * d * d
-
 
 class PatternClassification(NamedTuple):
     all_patterns: tuple[PatternCoeffs, ...]

@@ -13,7 +13,6 @@ from .errors import (
     IoFailureError,
     NotPrimeError,
     OverlappingIntervalsError,
-    ProbabilityOutOfRangeError,
     TooLargeError,
     TooSmallError,
 )
@@ -276,12 +275,6 @@ class RngStream:
         self._position += count
         states = np.uint64(self.seed) + ks * np.uint64(_GAMMA)
         return _mix64_array(states)
-
-    def bernoulli(self, p: float) -> bool:
-        """One Bernoulli(p) draw: next word compared against p scaled to 2**64."""
-        if not 0.0 <= p <= 1.0:
-            raise ProbabilityOutOfRangeError(f"probability {p} outside [0, 1]")
-        return self.next_word() < int(p * 2.0**64)
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream for parallel or per-trial use."""

@@ -187,12 +187,13 @@ def run_verify(
     signal's spectrum, pattern classification, the mean-difference bound, the
     probability signal, the 16-term bracket expansion, and ``trials``
     independent rounding draws checked against the n^-1/2 ln n concentration
-    threshold.  Deterministic given (n, seed, trials).
+    threshold.  Deterministic given (n, seed, trials).  ``trials`` below 1 is
+    a ValueError: a concentration check over no draws measures nothing.
 
     The bracket expansion's 15 terms with at most three G factors are
     complexity-1 patterns that ``apk_mean_zn`` answers without its per-d
     kernel (the all-ones term exactly, one and two G factors from mean(G),
-    three by a Fourier sum); E[G^4] and the direct E[P^4] they are checked
+    three by one FFT convolution); E[G^4] and the direct E[P^4] they are checked
     against still run through the kernel, so the 1e-10 identity compares two
     independent methods.  The kernel sums over the support of its sparsest
     input: E[G^4] costs |supp(G)| * n, about 0.05 n^2, and the dense E[P^4]
@@ -202,6 +203,9 @@ def run_verify(
     m = make_modulus(n)
     if n < 6000:
         raise ValueError("the verification pipeline requires n >= 6000")
+    if trials < 1:
+        # checked before the stages, so that --trials 0 is an input error and not a pass
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = RngStream(seed)
     runner = _Runner()
     state: dict = {}
@@ -422,7 +426,7 @@ def run_verify(
             deviations.append(float(np.abs(sp_a.coeffs - sp_p.coeffs).max()))
         exceed = sum(1 for d in deviations if d > threshold)
         density_ok = all(abs(d - mean_p) <= 4.0 / math.sqrt(n) for d in densities)
-        value = sorted(deviations)[-(allowed + 1)] if allowed < trials else 0.0
+        value = sorted(deviations)[-(allowed + 1)]
         measured = {
             "value": value,
             "densities": densities,
@@ -500,7 +504,7 @@ def run_scaling(n_list: list[int], block_length: int | None = None) -> Verificat
             ratios,
         )
 
-    return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0] if n_list else 0, 0, runner.checks)
+    return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0], 0, runner.checks)
 
 
 def run_demo_quadratic(n: int, c: float) -> VerificationReport:

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apcount import ap4_sum_z
 from .constructions import GridDesign, validate_design
-from .core import IntSignalZ
 from .errors import TooLargeError
 
 PM1_LIMIT = 24
@@ -130,11 +128,6 @@ def min_ap4_ternary(n: int) -> SearchResult:
     if n > TERNARY_LIMIT:
         raise TooLargeError(f"exhaustive ternary sweep is capped at n = {TERNARY_LIMIT}")
     return _block_minimum(n, _TERNARY_LOW_DIGITS, (-1, 0, 1), _yates)
-
-
-def evaluate_assignment(values: tuple[int, ...]) -> int:
-    """Re-evaluate the 4-AP sum of an assignment on {1..n} with the exact kernel."""
-    return ap4_sum_z(IntSignalZ(1, tuple(values)))
 
 
 def search_grid_designs(max_results: int = 0) -> tuple[GridDesign, ...]:

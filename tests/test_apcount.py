@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ap4kit as k
-from ap4kit.apcount import _per_d_partials
+from ap4kit.apcount import _cyclic_convolution, _per_d_partials
 from ap4kit.errors import ModulusMismatchError, NotIndicatorError
 
 
@@ -179,20 +179,30 @@ class TestApkMeanZn:
             assert k.apk_mean_zn([dilated] * 4).exact_numerator == base
 
 
+_VALUES = (
+    lambda rng, n: rng.integers(-3, 4, n),
+    lambda rng, n: rng.choice((-64, 64), n),  # the widest convolution slots
+    lambda rng, n: rng.integers(-64, 0, n),  # every input shifted
+)
+
+
 def _pattern_cases(n, count, seed):
-    """Every choice of constant positions and constant, on exact and float signals."""
+    """Every choice of constant positions and constant (0 is an all-zero input),
+    on exact and float signals; the non-constant inputs of a case draw their
+    values from one of ``_VALUES``, in turn."""
     m = k.make_modulus(n)
     rng = np.random.default_rng(seed)
-    for size in range(count + 1):
+    cases = itertools.product(range(count + 1), (0, 1, -3, 0.5), (np.int64, np.float64))
+    for size, c, dtype in cases:
         for held in itertools.combinations(range(count), size):
-            for c in (0, 1, -3, 0.5):
-                for dtype in (np.int64, np.float64):
-                    yield [
-                        k.constant_signal(m, c)
-                        if i in held
-                        else k.ZnSignal(m, rng.integers(-3, 4, n).astype(dtype))
-                        for i in range(count)
-                    ]
+            values = _VALUES[seed % len(_VALUES)]
+            seed += 1
+            yield [
+                k.constant_signal(m, c)
+                if i in held
+                else k.ZnSignal(m, values(rng, n).astype(dtype))
+                for i in range(count)
+            ]
 
 
 def _kernel_cases(n, count, dtype, seed):
@@ -236,7 +246,7 @@ class TestKernel:
 class TestClosedForms:
     """Constant inputs factored out; the per-d kernel is the oracle."""
 
-    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009])
     @pytest.mark.parametrize("count", [3, 4, 5])
     def test_matches_kernel(self, n, count):
         for sigs in _pattern_cases(n, count, seed=100 * n + count):
@@ -250,7 +260,8 @@ class TestClosedForms:
             else:
                 arrays = [s.values.astype(np.float64) for s in sigs]
                 oracle = math.fsum(_per_d_partials(arrays).tolist()) / (n * n)
-                assert abs(mean.value - oracle) <= 1e-12
+                # relative past 1: a mean of +/-64 inputs reaches 5.6e8, where an ulp is 1.2e-7
+                assert abs(mean.value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_kernel_not_called_for_closed_forms(self, monkeypatch):
         def kernel(arrays):
@@ -260,9 +271,38 @@ class TestClosedForms:
         for count in (3, 4, 5):
             for sigs in _pattern_cases(11, count, seed=count):
                 free = sum(1 for s in sigs if not (s.values == s.values[0]).all())
-                exact = all(s.exact for s in sigs)
-                if free <= (2 if exact else 3):
+                if free <= 3:
                     k.apk_mean_zn(sigs)
+
+
+class TestCyclicConvolution:
+    """The big-integer convolution against a direct O(n^2) cyclic convolution."""
+
+    @pytest.mark.parametrize(
+        "n, f_range, h_range",
+        [
+            (7, (0, 52), (0, 1)),  # largest coefficient 52 * 5 = 260 > 2^8
+            (11, (-64, 64), (-64, -7)),  # shifted: 128 * 57 * 9 = 65664 > 2^16
+            (1031, (-64, 64), (-64, 64)),  # shifted: 128^2 * 1029 > 2^24
+            (5, (0, 0), (-3, 3)),  # an all-zero input
+        ],
+    )
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_matches_direct(self, n, f_range, h_range, spread):
+        rng = np.random.default_rng(n)
+
+        def values(lo, hi):
+            # without spread every entry but the first is the maximum, so after
+            # the shift the largest linear coefficient is max(F) max(H) (n - 2)
+            v = rng.integers(lo, hi + 1, n) if spread else np.full(n, hi)
+            v[:2] = lo, hi
+            return v.astype(np.int64)
+
+        f, h = values(*f_range), values(*h_range)
+        z = np.arange(n)
+        want = [int(np.dot(f, h[(t - z) % n])) for t in range(n)]
+        assert _cyclic_convolution(f, h).tolist() == want
+        assert _cyclic_convolution(h, f).tolist() == want
 
 
 class TestProfile:

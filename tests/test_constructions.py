@@ -336,7 +336,13 @@ class TestPatternClassification:
         ]
         for pc in cls.all_patterns:
             for x, d in pairs:
-                assert pc.theta_direct(x, d) == pc.theta_collapsed(x, d)
+                direct = (
+                    pc.p * x * x
+                    + pc.q * (x + d) ** 2
+                    + pc.r * (x + 2 * d) ** 2
+                    + pc.s * (x + 3 * d) ** 2
+                )
+                assert direct == pc.u * x * x + pc.v * x * d + pc.w * d * d
 
     def test_modulated_mean_against_naive(self):
         # independent double loop with cmath at n = 101

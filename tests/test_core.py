@@ -12,7 +12,6 @@ from ap4kit.errors import (
     IoFailureError,
     NotPrimeError,
     OverlappingIntervalsError,
-    ProbabilityOutOfRangeError,
     TooLargeError,
     TooSmallError,
 )
@@ -190,13 +189,6 @@ class TestRngStream:
         seeds = {r.child(i).seed for i in range(100)}
         assert len(seeds) == 100
         assert r.child(0).seed == k.RngStream(1).child(0).seed
-
-    def test_bernoulli_extremes(self):
-        r = k.RngStream(5)
-        assert not any(r.bernoulli(0.0) for _ in range(100))
-        assert all(r.bernoulli(1.0) for _ in range(100))
-        with pytest.raises(ProbabilityOutOfRangeError):
-            r.bernoulli(1.5)
 
 
 class TestSignalFiles:

@@ -222,6 +222,14 @@ class TestCli:
         assert main(["verify", "--n", "9", "--seed", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_no_trials_exits_2(self, trials, capsys):
+        # a concentration check over no draws is an input error, not a pass
+        assert main(["verify", "--n", "10007", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert "result:" not in captured.out
+
     def test_demo_quad(self, capsys):
         assert main(["demo-quad", "--n", "10007", "--c", "0.05"]) == 0
         assert "result: PASS" in capsys.readouterr().out
@@ -309,6 +317,12 @@ class TestCli:
         assert captured.err
         assert "designs" not in captured.out
 
+    def test_search_grid_n_exits_2(self, capsys):
+        assert main(["search", "grid", "--n", "7"]) == 2
+        captured = capsys.readouterr()
+        assert "--n applies to search pm1/ternary only" in captured.err
+        assert "designs" not in captured.out
+
     def test_build_interval_signal(self, tmp_path):
         out = tmp_path / "F.json"
         assert main(["build", "--construction", "F", "--n", "6007", "--out", str(out)]) == 0
@@ -385,7 +399,10 @@ _FILE = st.one_of(
     st.sampled_from([b"[" * 100000, b'{"n": 5, "values": [' + b"1" * 5000 + b"]}"]),
 )
 _FLAGS = st.lists(
-    st.sampled_from(["--bogus", "--n", "--threads", "-h", "0", "--max-results=-1"]), max_size=2
+    st.sampled_from(
+        ["--bogus", "--n", "--threads", "-h", "0", "--max-results=-1", "--trials=0"]
+    ),
+    max_size=2,
 )
 
 
