@@ -2,7 +2,14 @@
 a certified construction of a near-half-density subset of Z_n whose 4-term
 progression count falls below the random benchmark."""
 
-from .apcount import ApMean, ap4_mean_profile, ap4_sum_z, apk_mean_zn, linear_form_mean_fourier
+from .apcount import (
+    ApMean,
+    ap4_mean_profile,
+    ap4_sum_z,
+    apk_mean_zn,
+    linear_form_mean_fourier,
+    modulated_ap4_mean,
+)
 from .constructions import (
     AXIS,
     MAIN_DIAGONAL,
@@ -22,7 +29,6 @@ from .constructions import (
     interval_block_length,
     interval_progression_count,
     lift_signal,
-    modulated_ap4_mean,
     quadratic_level_set,
     reference_design,
     sample_indicator,
@@ -47,7 +53,6 @@ from .core import (
 from .report import (
     CheckRecord,
     VerificationReport,
-    export,
     load_report,
     report_to_json,
     run_demo_quadratic,

@@ -3,37 +3,40 @@
 Means over Z_n run over all n^2 pairs (x, d) with d = 0 included; sums over Z
 run over every integer pair, d of any sign.
 
-``apk_mean_zn`` first factors out every constant input (all values equal to
-the first).  With j non-constant inputs left and n prime, the patterns of
+This module is the one place that decides how a progression sum is
+evaluated.  ``apk_mean_zn`` first factors out every constant input (all
+values equal to the first), then takes one route tree for exact and float
+inputs alike.  With j non-constant inputs left and n prime, the patterns of
 complexity 1 have closed forms: j <= 2 gives the product of the constants
-and of the inputs' means, because (x + a d, x + b d) runs over Z_n^2 once
+and of the inputs' sums, because (x + a d, x + b d) runs over Z_n^2 once
 when a != b; j = 3 is one cyclic convolution of two dilated inputs,
-gathered against the third (``_three_input_sum``), for exact and float
-inputs alike.  Exact inputs get their numerator from Python integers (the
-j = 3 convolution from one big-integer multiply), so exact results stay
-exact and equal the kernel's; float inputs with j = 3 convolve by FFT.
-Everything else (any j >= 4, the per-d profiles and the phase-modulated
-means of ``constructions``) goes through the one per-d kernel
-``_per_d_partials``.  It sums over the support of its sparsest input only,
-at a cost of O(|supp| * n) element products: about 0.05 n^2 on the interval
-and modulated signals, n^2 on a dense signal.  Every d-partial is built in
-fixed order (support points in increasing order), and the d-partials are
-combined in fixed order (in Python integers when every input signal is
-integer-valued, compensated summation otherwise), which makes results
-bit-stable run to run.
+gathered against the third (``_three_input_sum``: a big-integer multiply on
+exact inputs, an FFT on float inputs).  Any j >= 4 goes through the one
+per-d kernel ``_per_d_partials``, which also serves the per-d profiles and
+the phase-modulated means; no other module calls it.  It sums over the
+support of its sparsest input only, at a cost of O(|supp| * n) element
+products: about 0.05 n^2 on the interval and modulated signals, n^2 on a
+dense signal.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p
+and takes the same route.
+
+Every reduction runs in fixed order: Python integers when every input is
+integer-valued, so exact numerators stay exact, and compensated summation
+otherwise.  Every d-partial is built in fixed order (support points in
+increasing order), which makes results bit-stable run to run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntSignalZ, ZnSignal
+from .core import IntSignalZ, ZnSignal, is_prime, make_modulus
 from .errors import ModulusMismatchError, NotIndicatorError
-from .spectra import dft
+from .spectra import dft, quadratic_phase_signal
 
 
 @dataclass(frozen=True)
@@ -48,24 +51,22 @@ class ApMean:
 def ap4_sum_z(f: IntSignalZ) -> int:
     """Exact integer sum over all (x, d) in Z^2 of f(x)f(x+d)f(x+2d)f(x+3d).
 
-    Only d with |3d| at most the support diameter can contribute.
+    The sum is a 4-AP numerator over Z_p: the L trimmed values are
+    zero-padded to the least prime p >= max(5, 2L - 1) (5 is the least
+    modulus).  Only progressions with all four terms in [0, L) contribute on
+    either side.  Over Z_p such a progression has three consecutive
+    differences in (-L, L) that agree mod p; any two of them are at most
+    2L - 2 < p apart, so they agree in Z and the terms form a Z-progression.
+    Conversely a Z-progression in [0, L) reduces to one (x, d) in Z_p^2, and
+    distinct steps in (-L, L) stay distinct mod p.  So the progressions
+    correspond one to one and the two sums are equal.
     """
-    vals = np.asarray(f.values, dtype=np.int64)
-    length = len(vals)
+    length = len(f.values)
     if length == 0:
         return 0
-    total = 0
-    dmax = (length - 1) // 3
-    for d in range(-dmax, dmax + 1):
-        x0 = max(0, -3 * d)
-        x1 = min(length - 1, length - 1 - 3 * d)
-        if x0 > x1:
-            continue
-        prod = vals[x0 : x1 + 1].copy()
-        for j in (1, 2, 3):
-            prod *= vals[x0 + j * d : x1 + j * d + 1]
-        total += int(prod.sum(dtype=np.int64))
-    return total
+    p = next(q for q in itertools.count(max(5, 2 * length - 1)) if is_prime(q))
+    s = ZnSignal(make_modulus(p), np.pad(f.values, (0, p - length)))
+    return apk_mean_zn([s] * 4).exact_numerator
 
 
 def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
@@ -137,14 +138,14 @@ def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return linear[:n] + linear[n:] + correction
 
 
-def _three_input_sum(free: list[tuple[int, np.ndarray]], exact: bool) -> int | float:
+def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     """Sum over all (x, d) of f(x + a d) g(x + b d) h(x + c d), free = [(a, f), (b, g), (c, h)].
 
     n must be prime and a < b < c < 5 <= n.  (c - b)(x + a d) + (b - a)(x + c d)
     = (c - a)(x + b d), and (x, d) -> (x + a d, x + c d) is a bijection of
     Z_n^2, so with f'(v) = f(v / (c - b)) and h'(v) = h(v / (b - a)) the sum
     is sum_y g(y) (f' * h')((c - a) y), where * is the cyclic convolution.
-    Exact inputs convolve by one big-integer multiply and gather in Python
+    Integer inputs convolve by one big-integer multiply and gather in Python
     integers; float inputs convolve by FFT and gather with fsum.
     """
     (a, f), (b, g), (c, h) = free
@@ -153,7 +154,7 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]], exact: bool) -> int | f
     f_dil = f[z * pow(c - b, -1, n) % n]
     h_dil = h[z * pow(b - a, -1, n) % n]
     at = z * (c - a) % n
-    if exact:
+    if f.dtype == np.int64:
         conv = _cyclic_convolution(f_dil, h_dil)
         return sum(map(operator.mul, g.tolist(), conv[at].tolist()))
     conv = np.fft.irfft(np.fft.rfft(f_dil) * np.fft.rfft(h_dil), n)
@@ -167,7 +168,9 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     are factored out first; with j non-constant inputs left, j <= 2 is
     answered in closed form, j = 3 by one cyclic convolution (a big-integer
     multiply on exact inputs, an FFT on float inputs) and j >= 4 by the
-    per-d kernel.
+    per-d kernel.  The route is the same for exact and float inputs; only
+    the reduction (Python integers or compensated summation) and the j = 3
+    convolution differ.
     """
     k = len(signals)
     if k not in (3, 4, 5):
@@ -181,35 +184,26 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     exact = all(s.exact for s in signals)
     if exact and any(int(np.abs(s.values).max(initial=0)) > 64 for s in signals):
         raise ValueError("exact kernel requires integer values in [-64, 64]")
+    total = sum if exact else math.fsum
+    arrays = [s.values if exact else s.values.astype(np.float64, copy=False) for s in signals]
     constants = []
     free = []  # (position, values) of the non-constant inputs
-    for i, s in enumerate(signals):
-        if (s.values == s.values[0]).all():
-            constants.append(s.values[0])
+    for i, a in enumerate(arrays):
+        if (a == a[0]).all():
+            constants.append(a[0].item())
         else:
-            free.append((i, s.values))
-    if exact:
-        scale = math.prod(int(c) for c in constants)
-        if len(free) <= 2:
-            # |sum| <= 64 n < 2^37, so the int64 sums are exact.
-            numerator = scale * n ** (2 - len(free)) * math.prod(int(v.sum()) for _, v in free)
-        elif len(free) == 3:
-            numerator = scale * _three_input_sum(free, exact=True)
-        else:
-            # Each per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so int64
-            # holds it; the sum over d can pass 2^63, so it is reduced in
-            # Python integers.
-            numerator = sum(_per_d_partials([s.values for s in signals]).tolist())
-        return ApMean(numerator / (n * n), numerator, n * n)
-    scale = math.prod(float(c) for c in constants)
+            free.append((i, a))
+    scale = math.prod(constants)
     if len(free) <= 2:
-        value = scale * math.prod(math.fsum(v.tolist()) / n for _, v in free)
+        result = scale * n ** (2 - len(free)) * math.prod(total(a.tolist()) for _, a in free)
     elif len(free) == 3:
-        value = scale * _three_input_sum(free, exact=False) / (n * n)
+        result = scale * _three_input_sum(free)
     else:
-        partials = _per_d_partials([s.values.astype(np.float64) for s in signals])
-        value = math.fsum(partials.tolist()) / (n * n)
-    return ApMean(value, None, n * n)
+        # An exact per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so int64
+        # holds it; the sum over d can pass 2^63, so it is reduced in Python
+        # integers.
+        result = total(_per_d_partials(arrays).tolist())
+    return ApMean(result / (n * n), result if exact else None, n * n)
 
 
 def ap4_mean_profile(s: ZnSignal) -> np.ndarray:
@@ -218,6 +212,32 @@ def ap4_mean_profile(s: ZnSignal) -> np.ndarray:
         raise ValueError("profile is defined for real signals")
     arrays = [s.values.astype(np.float64)] * 4
     return _per_d_partials(arrays) / s.n
+
+
+def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
+    """E over (x, d) of s(x)s(x+d)s(x+2d)s(x+3d) w^(u x^2 + v x d + w d^2).
+
+    The phase splits over the first three positions as w^(p x^2 + q (x+d)^2 +
+    r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
+    invertible since n is odd), so the mean is a plain 4-AP mean of
+    phase-weighted copies of s, taken by the shared per-d kernel.  The
+    weighted copies keep the support of s, so the kernel's cost is
+    |supp(s)| * n products.
+    """
+    if s.is_complex:
+        raise ValueError("expected a real signal")
+    u, v, w = uvw
+    m = s.modulus
+    n = m.n
+    half = pow(2, -1, n)
+    q = (v - w) % n
+    r = (w - v * half) * half % n
+    p = (u - q - r) % n
+    vals = s.values.astype(np.float64)
+    factors = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)]
+    partials = _per_d_partials(factors + [vals]).tolist()
+    total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
+    return total / (n * n)
 
 
 def linear_form_mean_fourier(b: ZnSignal) -> float:

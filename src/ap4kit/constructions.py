@@ -14,14 +14,12 @@ rounding turns it into an actual subset of Z_n of density about 1/2 whose
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .apcount import _per_d_partials
 from .core import (
     IntervalZn,
     IntSignalZ,
@@ -36,7 +34,6 @@ from .errors import (
     OutOfDomainError,
     ProbabilityOutOfRangeError,
 )
-from .spectra import quadratic_phase_signal
 
 Triple = tuple[int, int, int]
 
@@ -376,29 +373,3 @@ def classify_patterns() -> PatternClassification:
     zero_u_nonzero_w = tuple(pc for pc in every if pc.u == 0 and pc.w != 0)
     null = tuple(pc for pc in every if pc.u == 0 and pc.w == 0)
     return PatternClassification(every, nonzero_u, zero_u_nonzero_w, null)
-
-
-def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
-    """E over (x, d) of s(x)s(x+d)s(x+2d)s(x+3d) w^(u x^2 + v x d + w d^2).
-
-    The phase splits over the first three positions as w^(p x^2 + q (x+d)^2 +
-    r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
-    invertible since n is odd), so the mean is a plain 4-AP mean of
-    phase-weighted copies of s, taken by the shared per-d kernel.  The
-    weighted copies keep the support of s, so the kernel's cost is
-    |supp(s)| * n products.
-    """
-    if s.is_complex:
-        raise ValueError("expected a real signal")
-    u, v, w = uvw
-    m = s.modulus
-    n = m.n
-    half = pow(2, -1, n)
-    q = (v - w) % n
-    r = (w - v * half) * half % n
-    p = (u - q - r) % n
-    vals = s.values.astype(np.float64)
-    factors = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)]
-    partials = _per_d_partials(factors + [vals]).tolist()
-    total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
-    return total / (n * n)

@@ -28,26 +28,28 @@ from .apcount import ap4_sum_z, apk_mean_zn
 from .core import (
     IntervalZn,
     RngStream,
-    ZnSignal,
     constant_signal,
     make_modulus,
     read_json,
-    save_signal,
     signal_stats,
     write_text,
 )
 from .errors import IoFailureError
 from .spectra import (
-    Spectrum,
     dft,
     max_coefficient,
     modulated_interval_uniformity_check,
     quadratic_phase_signal,
-    save_spectrum_csv,
     uniformity,
 )
 
 SCHEMA_VERSION = "1"
+
+# Random draws of the two spot checks in ``run_verify``: quadratic phases
+# checked for a flat spectrum, and modulated intervals checked against the
+# 2 n^-1/2 ln n coefficient bound.
+FLATNESS_TRIALS = 10
+MODULATED_TRIALS = 20
 
 _CHECK_FIELDS = (
     "name",
@@ -130,18 +132,6 @@ def load_report(path) -> VerificationReport:
     )
 
 
-def export(obj, path) -> None:
-    """Write a signal (JSON), spectrum (CSV) or report (JSON) to ``path``."""
-    if isinstance(obj, ZnSignal):
-        save_signal(obj, path)
-    elif isinstance(obj, Spectrum):
-        save_spectrum_csv(obj, path)
-    elif isinstance(obj, VerificationReport):
-        save_report(obj, path)
-    else:
-        raise ValueError(f"cannot export objects of type {type(obj).__name__}")
-
-
 class _Runner:
     """Runs pipeline stages in order; an exception fails its stage and skips the rest."""
 
@@ -172,29 +162,27 @@ def _log_scale(n: int) -> float:
     return math.log(n) / math.sqrt(n)
 
 
-def run_verify(
-    n: int,
-    seed: int,
-    trials: int = 20,
-    modulated_trials: int = 20,
-    flatness_trials: int = 10,
-) -> VerificationReport:
+def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     """Execute the full verification pipeline at modulus n.
 
     Stages run in construction order: design validation, line census, the
     difference-map check, the lifted -72 sum, the exact interval-signal
-    numerator, phase flatness, modulated-interval coefficients, the modulated
-    signal's spectrum, pattern classification, the mean-difference bound, the
-    probability signal, the 16-term bracket expansion, and ``trials``
-    independent rounding draws checked against the n^-1/2 ln n concentration
-    threshold.  Deterministic given (n, seed, trials).  ``trials`` below 1 is
-    a ValueError: a concentration check over no draws measures nothing.
+    numerator, phase flatness over ``FLATNESS_TRIALS`` random quadratic
+    phases, modulated-interval coefficients over ``MODULATED_TRIALS`` random
+    intervals and phases, the modulated signal's spectrum, pattern
+    classification, the mean-difference bound, the probability signal, the
+    16-term bracket expansion, and ``trials`` independent rounding draws
+    checked against the n^-1/2 ln n concentration threshold.  Deterministic
+    given (n, seed, trials).  ``trials`` below 1 is a ValueError: a
+    concentration check over no draws measures nothing.
 
-    The bracket expansion's 15 terms with at most three G factors are
-    complexity-1 patterns that ``apk_mean_zn`` answers without its per-d
-    kernel (the all-ones term exactly, one and two G factors from mean(G),
-    three by one FFT convolution); E[G^4] and the direct E[P^4] they are checked
-    against still run through the kernel, so the 1e-10 identity compares two
+    Every progression sum goes through ``apcount``: the lifted sum is a 4-AP
+    numerator over Z_p for a small prime p (``ap4_sum_z``).  The bracket
+    expansion's 15 terms with at most three G factors are complexity-1
+    patterns that ``apk_mean_zn`` answers without its per-d kernel (the
+    all-ones term exactly, one and two G factors from mean(G), three by one
+    FFT convolution); E[G^4] and the direct E[P^4] they are checked against
+    still run through the kernel, so the 1e-10 identity compares two
     independent methods.  The kernel sums over the support of its sparsest
     input: E[G^4] costs |supp(G)| * n, about 0.05 n^2, and the dense E[P^4]
     costs n^2.  A stage that raises is recorded as a failed check
@@ -272,13 +260,13 @@ def run_verify(
         sub = rng.child(0)
         target = 1.0 / math.sqrt(n)
         worst = 0.0
-        for _ in range(flatness_trials):
+        for _ in range(FLATNESS_TRIALS):
             a = 1 + sub.next_word() % (n - 1)
             b = sub.next_word() % n
             sp = dft(quadratic_phase_signal(m, a, b))
             dev = float(np.abs(np.abs(sp.coeffs) - target).max())
             worst = max(worst, dev)
-        return {"value": worst, "trials": flatness_trials}, 1e-9, worst <= 1e-9, False
+        return {"value": worst, "trials": FLATNESS_TRIALS}, 1e-9, worst <= 1e-9, False
 
     runner.run("quadratic_phase_flatness", "phase-spectrum-flat-at-n^-1/2", flatness)
 
@@ -286,7 +274,7 @@ def run_verify(
         sub = rng.child(1)
         bound = 2.0 * _log_scale(n)
         worst = 0.0
-        for _ in range(modulated_trials):
+        for _ in range(MODULATED_TRIALS):
             start = sub.next_word() % n
             length = 1 + sub.next_word() % (n - 1)
             a = 1 + sub.next_word() % (n - 1)
@@ -296,7 +284,7 @@ def run_verify(
                 m, IntervalZn(start, length), (a, b, c)
             )
             worst = max(worst, measured)
-        return {"value": worst, "trials": modulated_trials}, bound, worst <= bound, False
+        return {"value": worst, "trials": MODULATED_TRIALS}, bound, worst <= bound, False
 
     runner.run(
         "modulated_interval_uniformity",
@@ -444,7 +432,7 @@ def run_verify(
     return VerificationReport(SCHEMA_VERSION, "verify", n, seed, runner.checks)
 
 
-def run_scaling(n_list: list[int], block_length: int | None = None) -> VerificationReport:
+def run_scaling(n_list: list[int]) -> VerificationReport:
     """Measure the n^-1/2 ln n series across several moduli.
 
     For each n the modulated signal's uniformity and the mean difference
@@ -452,24 +440,23 @@ def run_scaling(n_list: list[int], block_length: int | None = None) -> Verificat
     normalized values must stay within a factor 10 of each other.  |mean G| is
     recorded for reference (its normalized value can fluctuate through zero,
     so no band is asserted on it).  An empty n_list is a ValueError: a series
-    that measures nothing must not pass.  Without ``block_length`` every
-    modulus must pass the interval-signal gate before any stage runs, so a
-    modulus too small for it is an input error, not a failed measurement.
+    that measures nothing must not pass.  Every modulus must pass the
+    interval-signal gate before any stage runs, so a modulus too small for it
+    is an input error, not a failed measurement.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
     moduli = [make_modulus(n) for n in n_list]
-    if block_length is None:
-        for m in moduli:
-            cons.interval_block_length(m)
+    for m in moduli:
+        cons.interval_block_length(m)
     rows = []
     runner = _Runner()
     for m in moduli:
         n = m.n
 
         def measure(m=m, n=n):
-            f = cons.build_interval_signal(m, block_length)
-            g = cons.build_modulated_signal(m, block_length)
+            f = cons.build_interval_signal(m)
+            g = cons.build_modulated_signal(m)
             ef = apk_mean_zn([f, f, f, f]).value
             eg = apk_mean_zn([g, g, g, g]).value
             unif = uniformity(dft(g))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import ap4kit as k
-from ap4kit.constructions import modulated_ap4_mean
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -184,7 +183,7 @@ def test_criterion_06_pattern_structure_and_difference_bound(ef10007, eg10007):
     g_small = k.build_modulated_signal(m1009, block_length=1)
     direct = k.apk_mean_zn([g_small] * 4).value
     regrouped = sum(
-        modulated_ap4_mean(f_small, (pc.u, pc.v, pc.w)) for pc in cls.all_patterns
+        k.modulated_ap4_mean(f_small, (pc.u, pc.v, pc.w)) for pc in cls.all_patterns
     )
     expansion_err = abs(regrouped.real - direct) + abs(regrouped.imag)
 

@@ -63,9 +63,10 @@ class TestAp4SumZ:
         assert k.ap4_sum_z(k.IntSignalZ(1, (1, 1, 1, 1))) == 6
 
     def test_matches_brute_force(self):
+        # every support length up to 40, past the searches' cap of 24, since
+        # ap4_sum_z picks its Z_p embedding from the length
         rng = k.RngStream(21)
-        for case in range(30):
-            length = 1 + case % 12
+        for length in range(1, 41):
             vals = tuple(int(rng.next_word() % 5) - 2 for _ in range(length))
             f = k.IntSignalZ(1, vals)
             assert k.ap4_sum_z(f) == _brute_ap4_sum(f)
@@ -159,14 +160,18 @@ class TestApkMeanZn:
 
     def test_numerator_reduced_without_int64_wrap(self, monkeypatch):
         # two per-d partials of 2^62 sum to 2^63, one past the int64 range;
-        # the signal is non-constant so that the kernel path is taken
-        monkeypatch.setattr(
-            "ap4kit.apcount._per_d_partials",
-            lambda arrays: np.array([2**62, 2**62], dtype=np.int64),
-        )
+        # 2^63 + 1 is not a float either, so a float reduction fails too; the
+        # signal is non-constant so that the kernel path is taken
         m = k.make_modulus(11)
-        mean = k.apk_mean_zn([k.ZnSignal(m, np.arange(11) % 3 - 1)] * 4)
-        assert mean.exact_numerator == 2**63
+        signals = [k.ZnSignal(m, np.arange(11) % 3 - 1)] * 4
+        for partials, want in (([2**62, 2**62], 2**63), ([2**62, 2**62, 1], 2**63 + 1)):
+            monkeypatch.setattr(
+                "ap4kit.apcount._per_d_partials",
+                lambda arrays, partials=partials: np.array(partials, dtype=np.int64),
+            )
+            numerator = k.apk_mean_zn(signals).exact_numerator
+            assert type(numerator) is int
+            assert numerator == want
 
     def test_dilation_invariance(self):
         n = 101
@@ -254,6 +259,7 @@ class TestClosedForms:
             assert mean.pair_count == n * n
             if mean.exact_numerator is not None:
                 assert all(s.exact for s in sigs)
+                assert type(mean.exact_numerator) is int
                 oracle = sum(_per_d_partials([s.values for s in sigs]).tolist())
                 assert mean.exact_numerator == oracle
                 assert mean.value == oracle / (n * n)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import ap4kit as k
-from ap4kit.constructions import modulated_ap4_mean
 from ap4kit.errors import (
     InvalidDesignError,
     ModulusTooSmallError,
@@ -370,12 +369,12 @@ class TestPatternClassification:
                         theta = (u * x * x + v * x * d + w * d * d) % n
                         acc += prod * cmath.exp(2j * cmath.pi * theta / n)
             expected = acc / n**2
-            got = modulated_ap4_mean(s, uvw)
+            got = k.modulated_ap4_mean(s, uvw)
             assert abs(got - expected) < 1e-10
 
     def test_null_pattern_equals_plain_mean(self, m10007, f10007):
         mean = k.apk_mean_zn([f10007] * 4)
-        null = modulated_ap4_mean(f10007, (0, 0, 0))
+        null = k.modulated_ap4_mean(f10007, (0, 0, 0))
         assert abs(null.imag) < 1e-12
         assert null.real == pytest.approx(mean.value, abs=1e-12)
 
@@ -493,6 +492,6 @@ class TestExpansionIdentityAt1009:
         eg = k.apk_mean_zn([g] * 4).value
         acc = 0j
         for pc in k.classify_patterns().all_patterns:
-            acc += modulated_ap4_mean(f, (pc.u, pc.v, pc.w))
+            acc += k.modulated_ap4_mean(f, (pc.u, pc.v, pc.w))
         assert abs(acc.imag) < 1e-9
         assert abs(acc.real - eg) < 1e-6

@@ -57,6 +57,10 @@ class TestRunVerify:
         assert check.measured["t"] == 5
         assert check.measured["numerator"] == -72 * check.measured["p"]
 
+    def test_spot_check_trials_recorded(self, verify_6007):
+        assert verify_6007.check("quadratic_phase_flatness").measured["trials"] == 10
+        assert verify_6007.check("modulated_interval_uniformity").measured["trials"] == 20
+
     def test_vacuous_flags(self, verify_6007):
         assert verify_6007.check("modulated_signal_spectrum").vacuous_at_this_n
         assert verify_6007.check("modulated_vs_interval_mean").vacuous_at_this_n
@@ -122,21 +126,9 @@ class TestReportSerialization:
         with pytest.raises(IoFailureError):
             k.load_report(path)
 
-    def test_export_dispatch(self, verify_6007, tmp_path):
-        m = k.make_modulus(11)
-        sig = k.constant_signal(m, 1)
-        k.export(sig, tmp_path / "sig.json")
-        assert (k.load_signal(tmp_path / "sig.json").values == sig.values).all()
-        k.export(k.dft(sig), tmp_path / "spec.csv")
-        assert len((tmp_path / "spec.csv").read_text().strip().split("\n")) == 12
-        k.export(verify_6007, tmp_path / "rep.json")
-        assert k.load_report(tmp_path / "rep.json").modulus == 6007
-        with pytest.raises(ValueError):
-            k.export(42, tmp_path / "x")
-
     def test_export_bad_path(self, verify_6007):
         with pytest.raises(IoFailureError):
-            k.export(verify_6007, "/nonexistent-dir/report.json")
+            k.save_report(verify_6007, "/nonexistent-dir/report.json")
 
 
 class TestRunScaling:
