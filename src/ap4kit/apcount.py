@@ -11,18 +11,26 @@ complexity 1 have closed forms: j <= 2 gives the product of the constants
 and of the inputs' sums, because (x + a d, x + b d) runs over Z_n^2 once
 when a != b; j = 3 is one cyclic convolution of two dilated inputs,
 gathered against the third (``_three_input_sum``: a big-integer multiply on
-exact inputs, an FFT on float inputs).  Any j >= 4 goes through the one
-per-d kernel ``_per_d_partials``, which also serves the per-d profiles and
-the phase-modulated means; no other module calls it.  It sums over the
-support of its sparsest input only, at a cost of O(|supp| * n) element
-products: about 0.05 n^2 on the interval and modulated signals, n^2 on a
-dense signal.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p
-and takes the same route.
+exact inputs, an FFT on float inputs).  Any j >= 4 takes one of two
+routes, chosen from k, the support sizes s_r and n alone.  The per-d slice
+kernel ``_per_d_partials`` sums over the support of its sparsest input at a
+cost of (k - 1) min(s) n contiguous products; it also serves the per-d
+profiles and the phase-modulated means, and no other module calls it.  The
+support-pair sum ``_support_pair_sum`` enumerates the supports of the
+adjacent pair (p, p + 1) with the least product s_p s_{p+1} and reads every
+other input by one gather, at a cost of (k - 2) s_p s_{p+1} gathered
+elements.  One gather costs about five contiguous products, so the pair
+route is taken when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n: on the
+interval and modulated signals (support about 5% of Z_n, so about 0.0025 n^2
+pairs) and on sparse level sets, while dense signals stay on the slice
+kernel.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p and
+takes the same routes.
 
 Every reduction runs in fixed order: Python integers when every input is
 integer-valued, so exact numerators stay exact, and compensated summation
-otherwise.  Every d-partial is built in fixed order (support points in
-increasing order), which makes results bit-stable run to run.
+otherwise.  Every d-partial and every support-pair row is built in fixed
+order (support points in increasing order), which makes results bit-stable
+run to run.
 """
 
 from __future__ import annotations
@@ -107,6 +115,53 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+# Rows of a support-pair chunk hold about this many gathered elements, so that
+# the index and gather temporaries (256 KiB each) stay in L2.
+_PAIR_CHUNK = 1 << 15
+
+
+def _sparsest_pair(sizes: list[int]) -> int:
+    """The position p whose adjacent pair (p, p + 1) has the least support product."""
+    return min(range(len(sizes) - 1), key=lambda i: sizes[i] * sizes[i + 1])
+
+
+def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
+    """Sum over all (x, d) of prod_r arrays[r][(x + r*d) mod n], for int or real arrays.
+
+    k must be at least 4.  The sum runs over the supports of the adjacent
+    pair (p, p + 1) with the least product of support sizes: (x, d) -> (y, z)
+    = (x + p d, x + (p + 1) d) is a bijection of Z_n^2, so y in supp(a_p) and
+    z in supp(a_{p+1}) fix d = z - y, and input r is read at x + r d =
+    (1 - e) y + e z with e = r - p.  That index lies within |e| + |1 - e|
+    periods, so each other input is one gather from a copy tiled that many
+    times, read at a fixed multiple-of-n offset.  The cost is
+    (k - 2) |supp(a_p)| |supp(a_{p+1})| gathered elements.  Integer inputs
+    stay exact: an entry of prod @ v is at most |supp| * 64^(k-1) < 2^55 and
+    its product with u at most 2^61 for n < 2^31, and the terms are summed
+    in Python integers; real inputs are summed with fsum.
+    """
+    n = arrays[0].shape[0]
+    supports = [np.flatnonzero(a) for a in arrays]
+    p = _sparsest_pair([s.size for s in supports])
+    ys, zs = supports[p], supports[p + 1]
+    u, v = arrays[p][ys], arrays[p + 1][zs]
+    gathers = []  # (tiled a_r, row offsets (1 - e) y + shift, column offsets e z)
+    for r, a in enumerate(arrays):
+        e = r - p
+        if e not in (0, 1):
+            shift = n * max(e - 1, -e)  # the least multiple of n that keeps every index >= 0
+            gathers.append((np.tile(a, abs(e) + abs(1 - e)), (1 - e) * ys + shift, e * zs))
+    rows = max(1, _PAIR_CHUNK // max(1, zs.size))
+    terms = []
+    for start in range(0, ys.size, rows):
+        (tiled, row, col), *rest = gathers
+        prod = tiled.take(row[start : start + rows, None] + col)
+        for tiled, row, col in rest:
+            prod *= tiled.take(row[start : start + rows, None] + col)
+        terms.extend((u[start : start + rows] * (prod @ v)).tolist())
+    return sum(terms) if np.result_type(*arrays) == np.int64 else math.fsum(terms)
+
+
 def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(f * h)(t) = sum_p f(p) h((t - p) mod n), exactly, for integer arrays in [-64, 64].
 
@@ -168,9 +223,11 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     are factored out first; with j non-constant inputs left, j <= 2 is
     answered in closed form, j = 3 by one cyclic convolution (a big-integer
     multiply on exact inputs, an FFT on float inputs) and j >= 4 by the
-    per-d kernel.  The route is the same for exact and float inputs; only
-    the reduction (Python integers or compensated summation) and the j = 3
-    convolution differ.
+    support-pair sum when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n (s_r the
+    support sizes, (p, p + 1) the adjacent pair with the least product),
+    else by the per-d slice kernel.  The route is the same for exact and
+    float inputs; only the reduction (Python integers or compensated
+    summation) and the j = 3 convolution differ.
     """
     k = len(signals)
     if k not in (3, 4, 5):
@@ -182,7 +239,8 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
         raise ValueError("progression means are defined for real signals")
     n = m.n
     exact = all(s.exact for s in signals)
-    if exact and any(int(np.abs(s.values).max(initial=0)) > 64 for s in signals):
+    # min and max, not abs: np.abs(-2^63) wraps to -2^63 and would pass
+    if exact and any(int(s.values.min()) < -64 or int(s.values.max()) > 64 for s in signals):
         raise ValueError("exact kernel requires integer values in [-64, 64]")
     total = sum if exact else math.fsum
     arrays = [s.values if exact else s.values.astype(np.float64, copy=False) for s in signals]
@@ -199,10 +257,18 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     elif len(free) == 3:
         result = scale * _three_input_sum(free)
     else:
-        # An exact per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so int64
-        # holds it; the sum over d can pass 2^63, so it is reduced in Python
-        # integers.
-        result = total(_per_d_partials(arrays).tolist())
+        # The slice kernel costs (k - 1) min(s) n contiguous products, the
+        # support-pair sum (k - 2) s_p s_{p+1} gathers; one gather costs
+        # about five contiguous products.
+        sizes = [np.count_nonzero(a) for a in arrays]
+        p = _sparsest_pair(sizes)
+        if 5 * (k - 2) * sizes[p] * sizes[p + 1] < (k - 1) * min(sizes) * n:
+            result = _support_pair_sum(arrays)
+        else:
+            # An exact per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so
+            # int64 holds it; the sum over d can pass 2^63, so it is reduced in
+            # Python integers.
+            result = total(_per_d_partials(arrays).tolist())
     return ApMean(result / (n * n), result if exact else None, n * n)
 
 

@@ -179,14 +179,15 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     Every progression sum goes through ``apcount``: the lifted sum is a 4-AP
     numerator over Z_p for a small prime p (``ap4_sum_z``).  The bracket
     expansion's 15 terms with at most three G factors are complexity-1
-    patterns that ``apk_mean_zn`` answers without its per-d kernel (the
+    patterns that ``apk_mean_zn`` answers without a j >= 4 kernel (the
     all-ones term exactly, one and two G factors from mean(G), three by one
     FFT convolution); E[G^4] and the direct E[P^4] they are checked against
-    still run through the kernel, so the 1e-10 identity compares two
-    independent methods.  The kernel sums over the support of its sparsest
-    input: E[G^4] costs |supp(G)| * n, about 0.05 n^2, and the dense E[P^4]
-    costs n^2.  A stage that raises is recorded as a failed check
-    with its error, and the later stages are skipped.
+    still run through a j >= 4 kernel, so the 1e-10 identity compares two
+    independent methods.  E[G^4] enumerates the support pairs of two
+    adjacent inputs, |supp(G)|^2 or about 0.0025 n^2 of them, and the dense
+    E[P^4] runs the per-d slice kernel, n slices of length n.  A stage that
+    raises is recorded as a failed check with its error, and the later
+    stages are skipped.
     """
     m = make_modulus(n)
     if n < 6000:

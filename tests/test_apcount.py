@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import ap4kit as k
-from ap4kit.apcount import _cyclic_convolution, _per_d_partials
+from ap4kit.apcount import (
+    _cyclic_convolution,
+    _per_d_partials,
+    _sparsest_pair,
+    _support_pair_sum,
+)
 from ap4kit.errors import ModulusMismatchError, NotIndicatorError
 
 
@@ -111,6 +116,16 @@ class TestApkMeanZn:
             with pytest.raises(ValueError):
                 k.apk_mean_zn([ones] * count)
 
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    def test_values_outside_64_rejected(self, count):
+        # -2^63 included: np.abs wraps it to -2^63, which an abs-based guard passes
+        m = k.make_modulus(11)
+        for wide in (65, -65, -(2**63)):
+            vals = np.zeros(11, dtype=np.int64)
+            vals[:2] = wide, 1
+            with pytest.raises(ValueError):
+                k.apk_mean_zn([k.ZnSignal(m, vals)] * count)
+
     def test_modulus_mismatch(self):
         a = k.constant_signal(k.make_modulus(11), 1)
         b = k.constant_signal(k.make_modulus(13), 1)
@@ -161,9 +176,10 @@ class TestApkMeanZn:
     def test_numerator_reduced_without_int64_wrap(self, monkeypatch):
         # two per-d partials of 2^62 sum to 2^63, one past the int64 range;
         # 2^63 + 1 is not a float either, so a float reduction fails too; the
-        # signal is non-constant so that the kernel path is taken
+        # signal is non-constant and dense so that the per-d kernel is taken
         m = k.make_modulus(11)
         signals = [k.ZnSignal(m, np.arange(11) % 3 - 1)] * 4
+        monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         for partials, want in (([2**62, 2**62], 2**63), ([2**62, 2**62, 1], 2**63 + 1)):
             monkeypatch.setattr(
                 "ap4kit.apcount._per_d_partials",
@@ -231,6 +247,10 @@ def _kernel_cases(n, count, dtype, seed):
     yield [values(n) for _ in range(count)]
 
 
+def _forbidden(arrays):
+    raise AssertionError("kernel called")
+
+
 class TestKernel:
     """The per-d kernel against a plain double sum over (x, d)."""
 
@@ -246,6 +266,59 @@ class TestKernel:
                 assert got.tolist() == want
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestSupportPairSum:
+    """The support-pair sum against a plain double sum over (x, d)."""
+
+    @pytest.mark.parametrize("n", [5, 7, 31])
+    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_matches_brute_force(self, n, count, dtype):
+        rng = np.random.default_rng(10 * n + count)
+
+        def values(nonzeros, wide):
+            vals = np.zeros(n, dtype=dtype)
+            at = rng.choice(n, nonzeros, replace=False)
+            magnitudes = np.full(nonzeros, 64) if wide else rng.integers(1, 4, nonzeros)
+            vals[at] = magnitudes * rng.choice((-1, 1), nonzeros)
+            if dtype == np.float64:
+                vals[at] *= rng.uniform(0.5, 1.0, nonzeros)
+            return vals
+
+        sparse, denser = max(2, n // 4), n // 2 + 2
+        for p, wide in itertools.product(range(count - 1), (False, True)):
+            # the pair (p, p + 1) is the sparsest; with wide, every value is +/-64
+            arrays = [values(sparse if i in (p, p + 1) else denser, wide) for i in range(count)]
+            assert _sparsest_pair([np.count_nonzero(a) for a in arrays]) == p
+            want = sum(_brute_partials([a.tolist() for a in arrays]))
+            got = _support_pair_sum(arrays)
+            if dtype == np.int64:
+                assert type(got) is int
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+        # an all-zero input is a pivot of the pair it belongs to
+        arrays = [values(0 if i == count - 1 else denser, False) for i in range(count)]
+        assert _sparsest_pair([np.count_nonzero(a) for a in arrays]) == count - 2
+        assert _support_pair_sum(arrays) == 0
+
+
+class TestRouting:
+    """Which j >= 4 route apk_mean_zn takes, with the other one patched to raise."""
+
+    @pytest.mark.parametrize("build", [k.build_interval_signal, k.build_modulated_signal])
+    def test_sparse_signals_take_support_pairs(self, monkeypatch, build):
+        s = build(k.make_modulus(10007))
+        oracle = math.fsum(_per_d_partials([s.values.astype(np.float64)] * 4).tolist())
+        monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
+        mean = k.apk_mean_zn([s] * 4)
+        assert mean.value * 10007**2 == pytest.approx(oracle, rel=1e-12)
+
+    def test_dense_signal_takes_slice_kernel(self, monkeypatch):
+        s = k.build_probability_signal(k.make_modulus(10007))
+        monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
+        k.apk_mean_zn([s] * 4)
 
 
 class TestClosedForms:
@@ -270,10 +343,8 @@ class TestClosedForms:
                 assert abs(mean.value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_kernel_not_called_for_closed_forms(self, monkeypatch):
-        def kernel(arrays):
-            raise AssertionError("kernel called")
-
-        monkeypatch.setattr("ap4kit.apcount._per_d_partials", kernel)
+        monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
+        monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         for count in (3, 4, 5):
             for sigs in _pattern_cases(11, count, seed=count):
                 free = sum(1 for s in sigs if not (s.values == s.values[0]).all())

@@ -273,6 +273,14 @@ class TestCli:
         assert main(["count", "--file", str(path), "--k", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["3", "4", "5"])
+    def test_count_rejects_int64_min(self, tmp_path, capsys, count):
+        # np.abs(-2^63) is -2^63 again, so an abs-based [-64, 64] guard lets it through
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 11, "values": [-(2**63), 1] + [0] * 9}))
+        assert main(["count", "--file", str(path), "--k", count]) == 2
+        assert "[-64, 64]" in capsys.readouterr().err
+
     def test_search_pm1_requires_n(self, capsys):
         assert main(["search", "pm1"]) == 2
 
