@@ -14,17 +14,19 @@ gathered against the third (``_three_input_sum``: a big-integer multiply on
 exact inputs, an FFT on float inputs).  Any j >= 4 takes one of two
 routes, chosen from k, the support sizes s_r and n alone.  The per-d slice
 kernel ``_per_d_partials`` sums over the support of its sparsest input at a
-cost of (k - 1) min(s) n contiguous products; it also serves the per-d
-profiles and the phase-modulated means, and no other module calls it.  The
-support-pair sum ``_support_pair_sum`` enumerates the supports of the
-adjacent pair (p, p + 1) with the least product s_p s_{p+1} and reads every
-other input by one gather, at a cost of (k - 2) s_p s_{p+1} gathered
-elements.  One gather costs about five contiguous products, so the pair
-route is taken when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n: on the
-interval and modulated signals (support about 5% of Z_n, so about 0.0025 n^2
-pairs) and on sparse level sets, while dense signals stay on the slice
-kernel.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p and
-takes the same routes.
+cost of (k - 1) min(s) n contiguous products, half that on a mirror list
+(inputs that read the same reversed, such as [s] * k), where it computes
+only the steps d <= (n - 1) / 2; it also serves the per-d profiles and the
+phase-modulated means, and no other module calls it.  The support-pair sum
+``_support_pair_sum`` enumerates the supports of the adjacent pair (p, p + 1)
+with the least product s_p s_{p+1} and reads every other input by one
+gather, at a cost of (k - 2) s_p s_{p+1} gathered elements.  One gather
+costs about five contiguous products, so the pair route is taken when
+5 (k - 2) s_p s_{p+1} is below the slice kernel's cost: on the interval and
+modulated signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and
+on level sets of density below about 0.15, while dense signals stay on the
+slice kernel.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p
+and takes the same routes.
 
 Every reduction runs in fixed order: Python integers when every input is
 integer-valued, so exact numerators stay exact, and compensated summation
@@ -77,6 +79,12 @@ def ap4_sum_z(f: IntSignalZ) -> int:
     return apk_mean_zn([s] * 4).exact_numerator
 
 
+def _mirrored(arrays: list[np.ndarray]) -> bool:
+    """Whether arrays[i] equals arrays[k - 1 - i] for every i, by value (equal copies count)."""
+    k = len(arrays)
+    return all(np.array_equal(arrays[i], arrays[k - 1 - i]) for i in range(k // 2))
+
+
 def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     """partials[d] = sum_x prod_i arrays[i][(x + i*d) mod n]; int, real or complex arrays.
 
@@ -86,8 +94,15 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     mod n.  In the dilated copy c_j(z) = a_j(s_j z) the factor is
     c_j(y / s_j + d), so for all d at once it is one contiguous slice, and
     the cost is |supp(a_p)| * n products instead of n^2.
+
+    Reading a progression backwards, x' = x + (k - 1) d with step -d, gives
+    partials[-d] = the partials of the reversed list at d.  A mirror list
+    (``_mirrored``) is its own reverse, so partials[n - d] = partials[d]: it
+    computes only d = 0 .. (n - 1) / 2, with slices of length (n + 1) / 2,
+    and copies the rest, at half the cost.
     """
     n = arrays[0].shape[0]
+    width = (n + 1) // 2 if _mirrored(arrays) else n  # the steps d < width are computed
     dtype = np.result_type(*arrays)
     p = int(np.argmin([np.count_nonzero(a) for a in arrays]))
     pivot = arrays[p]
@@ -101,17 +116,18 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     # buf is rewritten for every y; starting it on a 64-byte boundary keeps the
     # vector stores from splitting cache lines, which costs up to 1.5x otherwise.
     # numpy data is itemsize-aligned, so the skip is a whole number of items.
-    spare = np.empty(n + 8, dtype=dtype)
-    buf = spare[-spare.ctypes.data % 64 // dtype.itemsize :][:n]
+    spare = np.empty(width + 8, dtype=dtype)
+    buf = spare[-spare.ctypes.data % 64 // dtype.itemsize :][:width]
     (first, u0), (second, u1), *rest = copies
     for y in np.flatnonzero(pivot).tolist():
         t0, t1 = y * u0 % n, y * u1 % n  # c_j's slice for this y starts at y / s_j
-        np.multiply(first[t0 : t0 + n], second[t1 : t1 + n], out=buf)
+        np.multiply(first[t0 : t0 + width], second[t1 : t1 + width], out=buf)
         for c, u in rest:
             t = y * u % n
-            buf *= c[t : t + n]
+            buf *= c[t : t + width]
         buf *= pivot[y]
-        out += buf
+        out[:width] += buf
+    out[width:] = out[1 : n - width + 1][::-1]  # partials[n - d] = partials[d]; empty at full width
     return out
 
 
@@ -223,9 +239,11 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     are factored out first; with j non-constant inputs left, j <= 2 is
     answered in closed form, j = 3 by one cyclic convolution (a big-integer
     multiply on exact inputs, an FFT on float inputs) and j >= 4 by the
-    support-pair sum when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n (s_r the
+    support-pair sum when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n, with the
+    right side halved when the inputs read the same reversed (s_r the
     support sizes, (p, p + 1) the adjacent pair with the least product),
-    else by the per-d slice kernel.  The route is the same for exact and
+    else by the per-d slice kernel, which computes only half the steps of
+    such a mirror list.  The route is the same for exact and
     float inputs; only the reduction (Python integers or compensated
     summation) and the j = 3 convolution differ.
     """
@@ -257,12 +275,13 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     elif len(free) == 3:
         result = scale * _three_input_sum(free)
     else:
-        # The slice kernel costs (k - 1) min(s) n contiguous products, the
-        # support-pair sum (k - 2) s_p s_{p+1} gathers; one gather costs
-        # about five contiguous products.
+        # The slice kernel costs (k - 1) min(s) n contiguous products, half
+        # that on a mirror list, and the support-pair sum (k - 2) s_p s_{p+1}
+        # gathers; one gather costs about five contiguous products.
         sizes = [np.count_nonzero(a) for a in arrays]
         p = _sparsest_pair(sizes)
-        if 5 * (k - 2) * sizes[p] * sizes[p + 1] < (k - 1) * min(sizes) * n:
+        slice_cost = (k - 1) * min(sizes) * n / (2 if _mirrored(arrays) else 1)
+        if 5 * (k - 2) * sizes[p] * sizes[p + 1] < slice_cost:
             result = _support_pair_sum(arrays)
         else:
             # An exact per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so

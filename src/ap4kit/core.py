@@ -177,9 +177,16 @@ def signal_stats(s: ZnSignal) -> SignalStats:
         raise ValueError("signal_stats is defined for real signals only")
     n = s.n
     if s.exact:
-        total = int(s.values.sum(dtype=np.int64))
-        sq = int((s.values * s.values).sum(dtype=np.int64))
-        return SignalStats(total / n, sq / n, float(s.values.min()), float(s.values.max()))
+        # Python ints, since abs(-2^63) wraps in int64
+        lo, hi = int(s.values.min()), int(s.values.max())
+        if n * max(-lo, hi) ** 2 < 2**63:  # neither int64 sum can wrap
+            total = int(s.values.sum(dtype=np.int64))
+            sq = int((s.values * s.values).sum(dtype=np.int64))
+        else:
+            vals = s.values.tolist()
+            total = sum(vals)
+            sq = sum(v * v for v in vals)
+        return SignalStats(total / n, sq / n, float(lo), float(hi))
     vals = s.values.tolist()
     return SignalStats(
         math.fsum(vals) / n,

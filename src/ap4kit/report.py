@@ -185,9 +185,11 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     still run through a j >= 4 kernel, so the 1e-10 identity compares two
     independent methods.  E[G^4] enumerates the support pairs of two
     adjacent inputs, |supp(G)|^2 or about 0.0025 n^2 of them, and the dense
-    E[P^4] runs the per-d slice kernel, n slices of length n.  A stage that
-    raises is recorded as a failed check with its error, and the later
-    stages are skipped.
+    E[P^4] runs the per-d slice kernel on the mirror list [P] * 4, n slices
+    of length (n + 1) / 2 for the steps d <= (n - 1) / 2, the other half
+    copied.  It multiplies P's own values; P is not split into 1/2 + G/8
+    there.  A stage that raises is recorded as a failed check with its
+    error, and the later stages are skipped.
     """
     m = make_modulus(n)
     if n < 6000:

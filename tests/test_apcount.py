@@ -9,6 +9,7 @@ import pytest
 import ap4kit as k
 from ap4kit.apcount import (
     _cyclic_convolution,
+    _mirrored,
     _per_d_partials,
     _sparsest_pair,
     _support_pair_sum,
@@ -226,25 +227,48 @@ def _pattern_cases(n, count, seed):
             ]
 
 
+def _kernel_values(rng, n, nonzeros, dtype):
+    vals = np.zeros(n, dtype=dtype)
+    at = rng.choice(n, nonzeros, replace=False)
+    vals[at] = rng.integers(1, 4, nonzeros) * rng.choice((-1, 1), nonzeros)
+    if dtype != np.int64:
+        vals[at] *= rng.uniform(0.5, 1.0, nonzeros)
+    if dtype == np.complex128:
+        vals[at] *= np.exp(2j * np.pi * rng.random(nonzeros))
+    return vals
+
+
 def _kernel_cases(n, count, dtype, seed):
     """The sparsest input at each position, one all-zero input, and all inputs dense."""
     rng = np.random.default_rng(seed)
-
-    def values(nonzeros):
-        vals = np.zeros(n, dtype=dtype)
-        at = rng.choice(n, nonzeros, replace=False)
-        vals[at] = rng.integers(1, 4, nonzeros) * rng.choice((-1, 1), nonzeros)
-        if dtype != np.int64:
-            vals[at] *= rng.uniform(0.5, 1.0, nonzeros)
-        if dtype == np.complex128:
-            vals[at] *= np.exp(2j * np.pi * rng.random(nonzeros))
-        return vals
-
     sparse, denser = max(1, n // 10), n // 2 + 1
     for pivot in range(count):
-        yield [values(sparse if i == pivot else denser) for i in range(count)]
-    yield [values(0 if i == seed % count else denser) for i in range(count)]
-    yield [values(n) for _ in range(count)]
+        yield [_kernel_values(rng, n, sparse if i == pivot else denser, dtype) for i in range(count)]
+    yield [_kernel_values(rng, n, 0 if i == seed % count else denser, dtype) for i in range(count)]
+    yield [_kernel_values(rng, n, n, dtype) for _ in range(count)]
+
+
+def _mirror_cases(n, dtype, seed):
+    """(arrays, mirrored): [a, b, a], [a, b, b, a] and [a, b, c, b, a] with the
+    sparsest input at the ends or at the centre, as shared objects and as equal
+    copies, plus near-mirror copies whose last array (for k >= 4 also: whose
+    second to last array) differs in one entry.  The sparsest input fills more
+    than half of Z_n, so every step has progressions inside the supports."""
+    rng = np.random.default_rng(seed)
+    sparse, denser = n // 2 + 1, n
+    for count, centre in itertools.product((3, 4, 5), (False, True)):
+        size = (count + 1) // 2
+        half = [
+            _kernel_values(rng, n, sparse if i == (size - 1 if centre else 0) else denser, dtype)
+            for i in range(size)
+        ]
+        arrays = half + half[::-1][count % 2 :]
+        yield arrays, True
+        yield [a.copy() for a in arrays], True
+        for last in range(1, count // 2 + 1):  # the last array, then the inner pair's
+            near = [a.copy() for a in arrays]
+            near[-last][seed % n] += 1
+            yield near, False
 
 
 def _forbidden(arrays):
@@ -254,18 +278,31 @@ def _forbidden(arrays):
 class TestKernel:
     """The per-d kernel against a plain double sum over (x, d)."""
 
+    @staticmethod
+    def _check(arrays, dtype):
+        got = _per_d_partials(arrays)
+        assert got.dtype == dtype
+        want = _brute_partials([a.tolist() for a in arrays])
+        if dtype == np.int64:
+            assert got.tolist() == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("n", [5, 7, 11, 101])
     @pytest.mark.parametrize("count", [3, 4, 5])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
     def test_matches_brute_force(self, n, count, dtype):
         for arrays in _kernel_cases(n, count, dtype, seed=100 * n + count):
-            got = _per_d_partials(arrays)
-            assert got.dtype == dtype
-            want = _brute_partials([a.tolist() for a in arrays])
-            if dtype == np.int64:
-                assert got.tolist() == want
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            self._check(arrays, dtype)
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+    def test_mirror_lists_match_brute_force(self, n, dtype):
+        # a mirror list computes half the steps and copies partials[n - d] = partials[d];
+        # the near-mirror list must take every step
+        for arrays, mirrored in _mirror_cases(n, dtype, seed=n):
+            assert _mirrored(arrays) is mirrored
+            self._check(arrays, dtype)
 
 
 class TestSupportPairSum:
@@ -319,6 +356,21 @@ class TestRouting:
         s = k.build_probability_signal(k.make_modulus(10007))
         monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         k.apk_mean_zn([s] * 4)
+
+    def test_sparse_level_set_takes_support_pairs(self, monkeypatch):
+        # density about 0.1: 5 (k - 2) s^2 = 1.0 s n < (k - 1) s n / 2 = 1.5 s n
+        s = k.quadratic_level_set(k.make_modulus(10007), 0.05)
+        oracle = sum(_per_d_partials([s.values] * 4).tolist())
+        monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
+        assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
+
+    def test_mirror_list_charges_slice_kernel_half(self, monkeypatch):
+        # density about 0.2: 5 (k - 2) s^2 = 2.0 s n is below the full (k - 1) s n = 3 s n,
+        # but not below the mirror list's half of it
+        s = k.quadratic_level_set(k.make_modulus(10007), 0.1)
+        oracle = _support_pair_sum([s.values] * 4)
+        monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
+        assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
 
 
 class TestClosedForms:

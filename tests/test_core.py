@@ -132,6 +132,21 @@ class TestSignalStats:
         with pytest.raises(ValueError):
             k.signal_stats(s)
 
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [2**40, 0, 0, 0, 0],
+            [2**62, 2**62, 0, 0, 0],
+            [-(2**63), 0, 0, 0, 0],
+            [-(2**63), 2**63 - 1, 0, 0, 0],
+        ],
+    )
+    def test_large_values_do_not_wrap(self, vals):
+        # the int64 sum or sum of squares of these wraps
+        s = k.ZnSignal(k.make_modulus(5), np.array(vals, dtype=np.int64))
+        want = (sum(vals) / 5, sum(v * v for v in vals) / 5, float(min(vals)), float(max(vals)))
+        assert k.signal_stats(s) == want
+
 
 class TestIntSignalZ:
     def test_canonical_trim(self):
