@@ -123,7 +123,8 @@ def _cmd_search(args) -> int:
             "n": 4,
             "min": None,
             "witnesses": [sorted(list(p) for p in d.points) for d in designs],
-            "exhaustive": args.max_results == 0,
+            # a capped search that found fewer designs than the cap ran to the end
+            "exhaustive": args.max_results == 0 or len(designs) < args.max_results,
         }
         print(f"{len(designs)} valid designs")
     else:

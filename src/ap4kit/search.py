@@ -7,6 +7,8 @@ of its coefficients: Walsh-Hadamard for +/-1, Yates' 2 -> 3 expansion for
 {-1,0,1}.  The transforms run over the low coordinates in blocks of 2^13 or
 3^8 int32 values (about 30 KB), one per assignment of the high coordinates.
 Correctness is anchored to the exact ``ap4_sum_z`` evaluator in tests.
+The grid designs are exact covers of the 72 off-diagonal lines by one
+permutation pattern per layer, found with bitmasks; validate_design confirms each.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import GridDesign, validate_design
+from .constructions import MAIN_DIAGONAL, GridDesign, Triple, enumerate_lines, validate_design
 from .errors import TooLargeError
 
 PM1_LIMIT = 24
@@ -131,44 +133,52 @@ def min_ap4_ternary(n: int) -> SearchResult:
 
 
 def search_grid_designs(max_results: int = 0) -> tuple[GridDesign, ...]:
-    """Backtracking enumeration of valid grid designs.
+    """Exact-cover enumeration of the designs: the 16-point sets that meet each
+    of the 72 lines other than the main diagonals exactly once.
 
-    Candidates are quadruples of pairwise-disjoint 4x4 permutation patterns,
-    one per horizontal plane (equivalently, 4x4 Latin squares); each candidate
-    is then filtered through validate_design.  ``max_results = 0`` means
-    exhaustive; the built-in design is among the results.  Designs come back
-    sorted by their point lists, so the order is deterministic.  A negative
-    ``max_results`` is a ValueError.
+    Each line is one bit.  Layer c offers the points {(a, sigma(a), c)} of each
+    permutation sigma that hits no line twice, in lexicographic order of sigma;
+    the backtracking skips options that hit a line already hit, accepts a leaf
+    only when all 72 are hit, and validate_design confirms each accepted leaf.
+    ``max_results = 0`` means exhaustive; the built-in design is among the
+    results.  Designs come back sorted by their point lists, so the order is
+    deterministic.  A negative ``max_results`` is a ValueError.
     """
     if max_results < 0:
         raise ValueError(f"max_results must be >= 0, got {max_results}")
-    perms = list(itertools.permutations(range(1, 5)))
+    lines = [line for line in enumerate_lines() if line.kind != MAIN_DIAGONAL]
+    line_bits: dict[Triple, int] = {}
+    for i, line in enumerate(lines):
+        for p in line.points:
+            line_bits[p] = line_bits.get(p, 0) | 1 << i
+    full = (1 << len(lines)) - 1
+    layers: list[list[tuple[list[Triple], int]]] = []
+    for c in range(1, 5):
+        layers.append([])
+        for sigma in itertools.permutations(range(1, 5)):
+            points, mask = [(a, b, c) for a, b in enumerate(sigma, 1)], 0
+            for p in points:
+                if mask & line_bits[p]:
+                    break
+                mask |= line_bits[p]
+            else:
+                layers[-1].append((points, mask))
     found: list[GridDesign] = []
 
-    def extend(chosen: list[tuple[int, ...]]) -> bool:
-        if len(chosen) == 4:
-            design = GridDesign(
-                frozenset(
-                    (a, sigma[a - 1], c + 1)
-                    for c, sigma in enumerate(chosen)
-                    for a in range(1, 5)
-                )
+    def extend(chosen: tuple, used: int) -> bool:
+        if len(chosen) < 4:
+            return any(
+                extend(chosen + (points,), used | mask)
+                for points, mask in layers[len(chosen)]
+                if not used & mask
             )
-            if validate_design(design).ok:
-                found.append(design)
-                if max_results and len(found) >= max_results:
-                    return True
+        if used != full:
             return False
-        for sigma in perms:
-            if all(
-                sigma[a] != prev[a] for prev in chosen for a in range(4)
-            ):
-                chosen.append(sigma)
-                if extend(chosen):
-                    return True
-                chosen.pop()
-        return False
+        design = GridDesign(frozenset(itertools.chain(*chosen)))
+        if validate_design(design).ok:
+            found.append(design)
+        return 0 < max_results <= len(found)
 
-    extend([])
+    extend((), 0)
     found.sort(key=lambda d: tuple(sorted(d.points)))
     return tuple(found)

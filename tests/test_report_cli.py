@@ -261,6 +261,17 @@ class TestCli:
         assert payload["space"] == "grid"
         assert len(payload["witnesses"]) == 8
 
+    @pytest.mark.parametrize("cap, found, exhaustive", [(3, 3, False), (8, 8, False), (9, 8, True)])
+    def test_search_grid_capped_exhaustive(self, tmp_path, capsys, cap, found, exhaustive):
+        # a cap above the 8 designs lets the search run to the end; at or
+        # below it the search stops at the cap and may have missed some
+        out = tmp_path / "grid.json"
+        assert main(["search", "grid", "--max-results", str(cap), "--out", str(out)]) == 0
+        assert f"{found} valid designs" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert len(payload["witnesses"]) == found
+        assert payload["exhaustive"] is exhaustive
+
     def test_search_out_unwritable_exits_2(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.json"
         assert main(["search", "pm1", "--n", "6", "--out", str(out)]) == 2

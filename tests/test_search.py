@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ap4kit as k
+from ap4kit import search
 from ap4kit.errors import TooLargeError
 from ap4kit.search import (
     SearchResult,
@@ -163,6 +165,38 @@ class TestTernary:
             k.min_ap4_ternary(17)
 
 
+def _latin_square_designs(max_results):
+    """The 576-candidate walk that search_grid_designs replaced: layers of
+    pairwise-disjoint permutation patterns (4x4 Latin squares) in lexicographic
+    order, each complete candidate filtered through validate_design."""
+    perms = list(itertools.permutations(range(1, 5)))
+    found = []
+
+    def extend(chosen):
+        if len(chosen) == 4:
+            design = k.GridDesign(
+                frozenset(
+                    (a, sigma[a - 1], c + 1) for c, sigma in enumerate(chosen) for a in range(1, 5)
+                )
+            )
+            if k.validate_design(design).ok:
+                found.append(design)
+                if max_results and len(found) >= max_results:
+                    return True
+            return False
+        for sigma in perms:
+            if all(sigma[a] != prev[a] for prev in chosen for a in range(4)):
+                chosen.append(sigma)
+                if extend(chosen):
+                    return True
+                chosen.pop()
+        return False
+
+    extend([])
+    found.sort(key=lambda d: tuple(sorted(d.points)))
+    return tuple(found)
+
+
 class TestGridDesignSearch:
     def test_exhaustive_census(self):
         designs = k.search_grid_designs()
@@ -174,6 +208,42 @@ class TestGridDesignSearch:
             assert k.validate_design(d).ok
             assert k.grid_ap4_sum(k.sign_grid(d)) == -72
 
+    def test_validates_only_accepted_leaves(self, monkeypatch):
+        # an exact cover accepts only the 8 designs, so validate_design runs
+        # 8 times, not once per Latin square, and never says no
+        verdicts = []
+
+        def counting(design):
+            check = k.validate_design(design)
+            verdicts.append(check.ok)
+            return check
+
+        monkeypatch.setattr(search, "validate_design", counting)
+        assert len(k.search_grid_designs()) == 8
+        assert verdicts == [True] * 8
+
+    def test_search_tree_is_pruned(self):
+        # 41 calls of the backtracking step over 12 options per layer, an
+        # option skipped when it hits a line already hit.  Without that skip
+        # the walk takes 22621 steps, and without the per-layer filter 133,
+        # with the same 8 designs either way.
+        steps = 0
+
+        def profile(frame, event, arg):
+            nonlocal steps
+            code = frame.f_code
+            if event == "call" and code.co_name == "extend" and code.co_filename == search.__file__:
+                steps += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            designs = k.search_grid_designs()
+        finally:
+            sys.setprofile(previous)
+        assert len(designs) == 8
+        assert steps == 41
+
     def test_negative_max_results_rejected(self):
         with pytest.raises(ValueError):
             k.search_grid_designs(max_results=-1)
@@ -183,6 +253,22 @@ class TestGridDesignSearch:
         assert len(some) == 3
         for d in some:
             assert k.validate_design(d).ok
+
+    @pytest.mark.parametrize("max_results", range(10))
+    def test_matches_latin_square_oracle(self, max_results):
+        # the same designs in the same order, so a cap keeps the same subset
+        assert k.search_grid_designs(max_results) == _latin_square_designs(max_results)
+
+    def test_first_design_frozen(self):
+        # frozen from the 576-candidate walk: the first valid leaf in
+        # lexicographic order of the layers' permutations
+        (first,) = k.search_grid_designs(max_results=1)
+        assert sorted(first.points) == [
+            (1, 1, 1), (1, 2, 3), (1, 3, 4), (1, 4, 2),
+            (2, 1, 4), (2, 2, 2), (2, 3, 1), (2, 4, 3),
+            (3, 1, 2), (3, 2, 4), (3, 3, 3), (3, 4, 1),
+            (4, 1, 3), (4, 2, 1), (4, 3, 2), (4, 4, 4),
+        ]
 
     def test_deterministic_order(self):
         a = k.search_grid_designs()
