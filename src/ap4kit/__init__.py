@@ -4,7 +4,6 @@ progression count falls below the random benchmark."""
 
 from .apcount import (
     ApMean,
-    ap4_mean_profile,
     ap4_sum_z,
     apk_mean_zn,
     linear_form_mean_fourier,
@@ -64,9 +63,6 @@ from .search import SearchResult, min_ap4_pm1, min_ap4_ternary, search_grid_desi
 from .spectra import (
     Spectrum,
     dft,
-    dft_direct,
-    interval_coeff_bound,
-    interval_coeff_bound_sum,
     max_coefficient,
     modulated_interval_uniformity_check,
     quadratic_phase_signal,

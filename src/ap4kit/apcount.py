@@ -16,17 +16,23 @@ routes, chosen from k, the support sizes s_r and n alone.  The per-d slice
 kernel ``_per_d_partials`` sums over the support of its sparsest input at a
 cost of (k - 1) min(s) n contiguous products, half that on a mirror list
 (inputs that read the same reversed, such as [s] * k), where it computes
-only the steps d <= (n - 1) / 2; it also serves the per-d profiles and the
-phase-modulated means, and no other module calls it.  The support-pair sum
-``_support_pair_sum`` enumerates the supports of the adjacent pair (p, p + 1)
-with the least product s_p s_{p+1} and reads every other input by one
-gather, at a cost of (k - 2) s_p s_{p+1} gathered elements.  One gather
-costs about five contiguous products, so the pair route is taken when
+only the steps d <= (n - 1) / 2; it also serves the phase-modulated means,
+and no other module calls it.  The support-pair sum ``_support_pair_sum``
+enumerates the supports of the adjacent pair (p, p + 1) with the least
+product s_p s_{p+1} and reads every other input by one gather, at a cost of
+at most (k - 2) s_p s_{p+1} gathered elements.  It splits both supports
+into blocks, their runs of consecutive residues when those average at least
+``_RUN_POINTS`` points and else the whole support, and skips every block
+pair in which some other input is read only where it is zero (tested with
+prefix counts), so on the 64 runs of the interval and modulated signals it
+gathers only the run pairs that can hold a progression.  One gather costs
+about five contiguous products, so the pair route is taken when
 5 (k - 2) s_p s_{p+1} is below the slice kernel's cost: on the interval and
 modulated signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and
 on level sets of density below about 0.15, while dense signals stay on the
-slice kernel.  ``ap4_sum_z`` embeds its finitely supported signal in Z_p
-and takes the same routes.
+slice kernel.  The rule charges every pair, skipped or not, so blocks do not
+move any input to another route.  ``ap4_sum_z`` embeds its finitely
+supported signal in Z_p and takes the same routes.
 
 Every reduction runs in fixed order: Python integers when every input is
 integer-valued, so exact numerators stay exact, and compensated summation
@@ -135,10 +141,27 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
 # the index and gather temporaries (256 KiB each) stay in L2.
 _PAIR_CHUNK = 1 << 15
 
+# A support is split into its runs of consecutive residues when they average at
+# least this many points; shorter runs would cost more Python steps than the
+# skipped pairs save, so such a support (a level set, a random set) is one block.
+_RUN_POINTS = 4
+
 
 def _sparsest_pair(sizes: list[int]) -> int:
     """The position p whose adjacent pair (p, p + 1) has the least support product."""
     return min(range(len(sizes) - 1), key=lambda i: sizes[i] * sizes[i + 1])
+
+
+def _blocks(support: np.ndarray) -> np.ndarray:
+    """Bounds b of the blocks of a sorted, nonempty support: block i is support[b[i] : b[i + 1]].
+
+    The blocks are the maximal runs of consecutive residues when those average
+    at least ``_RUN_POINTS`` points, else the whole support is one block.
+    """
+    cuts = np.flatnonzero(np.diff(support) != 1) + 1
+    if support.size < _RUN_POINTS * (cuts.size + 1):
+        cuts = cuts[:0]
+    return np.concatenate(([0], cuts, [support.size]))
 
 
 def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
@@ -150,32 +173,76 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
     z in supp(a_{p+1}) fix d = z - y, and input r is read at x + r d =
     (1 - e) y + e z with e = r - p.  That index lies within |e| + |1 - e|
     periods, so each other input is one gather from a copy tiled that many
-    times, read at a fixed multiple-of-n offset.  The cost is
-    (k - 2) |supp(a_p)| |supp(a_{p+1})| gathered elements.  Integer inputs
-    stay exact: an entry of prod @ v is at most |supp| * 64^(k-1) < 2^55 and
-    its product with u at most 2^61 for n < 2^31, and the terms are summed
-    in Python integers; real inputs are summed with fsum.
+    times, read at a fixed multiple-of-n offset.
+
+    Both supports are split into blocks (``_blocks``).  For y in a block I
+    and z in a block J, the read index of input r sweeps one window of
+    consecutive integers, and a prefix count of supp(a_r) over one period,
+    extended periodically, counts a_r's support in it.  A pair (I, J) whose
+    window holds no support of some input reads a zero there at every (y, z),
+    so it is skipped; the test is vectorised over the block pairs, about
+    ``_PAIR_CHUNK`` of them at a time.  The kept pairs are gathered: for
+    each block I, the rows y in I against the points of its kept blocks J,
+    in increasing order.  The cost is (k - 2) gathered elements per kept
+    (y, z), at most (k - 2) |supp(a_p)| |supp(a_{p+1})|.  Skipped pairs add
+    only exact zeros, so integer inputs stay exact: an entry of prod @ v is
+    at most |supp| * 64^(k-1) < 2^55 and its product with u at most 2^61 for
+    n < 2^31, and the terms are summed in Python integers; real inputs are
+    summed with fsum.
     """
     n = arrays[0].shape[0]
+    total = sum if np.result_type(*arrays) == np.int64 else math.fsum
     supports = [np.flatnonzero(a) for a in arrays]
     p = _sparsest_pair([s.size for s in supports])
     ys, zs = supports[p], supports[p + 1]
+    if not (ys.size and zs.size):
+        return total([])
     u, v = arrays[p][ys], arrays[p + 1][zs]
+    y_bounds, z_bounds = _blocks(ys), _blocks(zs)
+    y_first, y_last = ys[y_bounds[:-1]], ys[y_bounds[1:] - 1]
+    z_first, z_last = zs[z_bounds[:-1]], zs[z_bounds[1:] - 1]
+    z_sizes = np.diff(z_bounds)
     gathers = []  # (tiled a_r, row offsets (1 - e) y + shift, column offsets e z)
+    windows = []  # (e, prefix count of supp(a_r) over one period, |supp(a_r)|)
     for r, a in enumerate(arrays):
         e = r - p
         if e not in (0, 1):
             shift = n * max(e - 1, -e)  # the least multiple of n that keeps every index >= 0
             gathers.append((np.tile(a, abs(e) + abs(1 - e)), (1 - e) * ys + shift, e * zs))
-    rows = max(1, _PAIR_CHUNK // max(1, zs.size))
+            prefix = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(a != 0, out=prefix[1:])
+            windows.append((e, prefix, supports[r].size))
+    block_rows = max(1, _PAIR_CHUNK // z_first.size)
     terms = []
-    for start in range(0, ys.size, rows):
-        (tiled, row, col), *rest = gathers
-        prod = tiled.take(row[start : start + rows, None] + col)
-        for tiled, row, col in rest:
-            prod *= tiled.take(row[start : start + rows, None] + col)
-        terms.extend((u[start : start + rows] * (prod @ v)).tolist())
-    return sum(terms) if np.result_type(*arrays) == np.int64 else math.fsum(terms)
+    for top in range(0, y_first.size, block_rows):
+        first, last = y_first[top : top + block_rows, None], y_last[top : top + block_rows, None]
+        keep = np.ones((first.shape[0], z_first.size), dtype=bool)
+        for e, prefix, size in windows:
+            # (1 - e) and e have opposite signs, so the window's ends are
+            # reached at opposite corners of the block pair
+            if e < 0:
+                lo, hi = (1 - e) * first + e * z_last, (1 - e) * last + e * z_first
+            else:
+                lo, hi = (1 - e) * last + e * z_first, (1 - e) * first + e * z_last
+            ends = np.stack((lo, hi + 1))
+            laps, at = np.divmod(ends, n)
+            below = laps * size + prefix[at]  # support points below each end, counted from 0
+            keep &= below[1] > below[0]
+        for i, kept in enumerate(keep, start=top):
+            cols = np.flatnonzero(np.repeat(kept, z_sizes))
+            if not cols.size:
+                continue
+            kept_v = v[cols]
+            picks = [(tiled, row, col[cols]) for tiled, row, col in gathers]
+            rows = max(1, _PAIR_CHUNK // cols.size)
+            for start in range(y_bounds[i], y_bounds[i + 1], rows):
+                stop = min(start + rows, y_bounds[i + 1])
+                (tiled, row, col), *rest = picks
+                prod = tiled.take(row[start:stop, None] + col)
+                for tiled, row, col in rest:
+                    prod *= tiled.take(row[start:stop, None] + col)
+                terms.extend((u[start:stop] * (prod @ kept_v)).tolist())
+    return total(terms)
 
 
 def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -243,9 +310,11 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     right side halved when the inputs read the same reversed (s_r the
     support sizes, (p, p + 1) the adjacent pair with the least product),
     else by the per-d slice kernel, which computes only half the steps of
-    such a mirror list.  The route is the same for exact and
-    float inputs; only the reduction (Python integers or compensated
-    summation) and the j = 3 convolution differ.
+    such a mirror list.  The rule charges the support-pair sum for all
+    s_p s_{p+1} pairs, though it skips the block pairs that hold no
+    progression, so it depends on sizes and n alone.  The route is the same
+    for exact and float inputs; only the reduction (Python integers or
+    compensated summation) and the j = 3 convolution differ.
     """
     k = len(signals)
     if k not in (3, 4, 5):
@@ -276,8 +345,9 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
         result = scale * _three_input_sum(free)
     else:
         # The slice kernel costs (k - 1) min(s) n contiguous products, half
-        # that on a mirror list, and the support-pair sum (k - 2) s_p s_{p+1}
-        # gathers; one gather costs about five contiguous products.
+        # that on a mirror list, and the support-pair sum at most
+        # (k - 2) s_p s_{p+1} gathers, fewer when it skips block pairs; one
+        # gather costs about five contiguous products.
         sizes = [np.count_nonzero(a) for a in arrays]
         p = _sparsest_pair(sizes)
         slice_cost = (k - 1) * min(sizes) * n / (2 if _mirrored(arrays) else 1)
@@ -289,14 +359,6 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
             # Python integers.
             result = total(_per_d_partials(arrays).tolist())
     return ApMean(result / (n * n), result if exact else None, n * n)
-
-
-def ap4_mean_profile(s: ZnSignal) -> np.ndarray:
-    """Per-d means: entry d is E_x s(x)s(x+d)s(x+2d)s(x+3d); their average is the 4-AP mean."""
-    if s.is_complex:
-        raise ValueError("profile is defined for real signals")
-    arrays = [s.values.astype(np.float64)] * 4
-    return _per_d_partials(arrays) / s.n
 
 
 def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:

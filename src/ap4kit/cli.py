@@ -187,6 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     except (Ap4KitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a modulus inside the supported range can still need more memory
+        # than the host has; that is an input error, not a failed check
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 2  # pragma: no cover - argparse enforces a known command
 
 

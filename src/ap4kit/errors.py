@@ -21,10 +21,6 @@ class OverlappingIntervalsError(Ap4KitError):
     """Two intervals passed as disjoint share a residue."""
 
 
-class ZeroFrequencyError(Ap4KitError):
-    """A nonzero frequency was required."""
-
-
 class DegenerateQuadraticError(Ap4KitError):
     """The leading quadratic coefficient vanishes mod n."""
 

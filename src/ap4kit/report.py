@@ -183,11 +183,13 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     all-ones term exactly, one and two G factors from mean(G), three by one
     FFT convolution); E[G^4] and the direct E[P^4] they are checked against
     still run through a j >= 4 kernel, so the 1e-10 identity compares two
-    independent methods.  E[G^4] enumerates the support pairs of two
-    adjacent inputs, |supp(G)|^2 or about 0.0025 n^2 of them, and the dense
-    E[P^4] runs the per-d slice kernel on the mirror list [P] * 4, n slices
-    of length (n + 1) / 2 for the steps d <= (n - 1) / 2, the other half
-    copied.  It multiplies P's own values; P is not split into 1/2 + G/8
+    independent methods.  E[G^4] takes the support-pair sum, which splits
+    G's support into its 64 runs and gathers only the 288 of the 64 x 64
+    run pairs whose progressions can meet G's support at the other two
+    positions, about 7% of the |supp(G)|^2 (about 0.0025 n^2) support
+    pairs.  The dense E[P^4] runs the per-d slice kernel on the mirror list
+    [P] * 4, n slices of length (n + 1) / 2 for the steps d <= (n - 1) / 2,
+    the other half copied.  It multiplies P's own values; P is not split into 1/2 + G/8
     there.  A stage that raises is recorded as a failed check with its
     error, and the later stages are skipped.
     """

@@ -2,8 +2,7 @@
 
 The transform used everywhere is f^(r) = n^-1 * sum_x f(x) w^(-rx) with
 w = exp(2*pi*i/n), so f^(0) is the mean (the density, for an indicator).
-``dft`` is numpy's O(n log n) FFT at every length (prime lengths included);
-``dft_direct`` evaluates the defining sum and serves as the test oracle.
+``dft`` is numpy's O(n log n) FFT at every length (prime lengths included).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntervalZn, Modulus, ZnSignal, write_text
-from .errors import DegenerateQuadraticError, ZeroFrequencyError
+from .errors import DegenerateQuadraticError
 
 
 @dataclass(frozen=True)
@@ -32,28 +31,11 @@ class Spectrum:
         object.__setattr__(self, "coeffs", arr)
 
 
-def _direct_coeffs(values: np.ndarray, n: int) -> np.ndarray:
-    # Exponents r*x are reduced mod n in integer arithmetic before the root
-    # of unity is evaluated; r*x < 2**62 for n < 2**31, so int64 is exact.
-    xs = np.arange(n, dtype=np.int64)
-    table = np.exp(-2j * np.pi * xs / n)
-    vals = values.astype(np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    for r in range(n):
-        out[r] = table[(r * xs) % n].dot(vals)
-    return out / n
-
-
-def dft_direct(s: ZnSignal) -> Spectrum:
-    """Defining O(n^2) evaluation of the transform; the test oracle."""
-    return Spectrum(s.modulus, _direct_coeffs(s.values, s.n))
-
-
 def dft(s: ZnSignal) -> Spectrum:
     """Mean-normalized transform of a signal.
 
-    numpy's FFT handles prime lengths; it matches ``dft_direct`` within 1e-9
-    per coefficient.
+    numpy's FFT handles prime lengths; it matches the defining O(n^2) sum
+    within 1e-9 per coefficient.
     """
     return Spectrum(s.modulus, np.fft.fft(s.values.astype(np.complex128)) / s.n)
 
@@ -82,24 +64,6 @@ def quadratic_phase_signal(m: Modulus, a: int, b: int = 0, c: int = 0) -> ZnSign
     e = (e + c % n) % n
     table = np.exp(2j * np.pi * np.arange(n) / n)
     return ZnSignal(m, table[e])
-
-
-def interval_coeff_bound(m: Modulus, r: int) -> float:
-    """The geometric-series bound 2 / (n |1 - w^r|) on |I^(r)| for any interval I."""
-    n = m.n
-    rr = r % n
-    if rr == 0:
-        raise ZeroFrequencyError("the bound is defined for nonzero frequencies")
-    s = min(rr, n - rr)
-    return 1.0 / (n * math.sin(math.pi * s / n))
-
-
-def interval_coeff_bound_sum(m: Modulus) -> float:
-    """1 + sum over r != 0 of min(1, bound(r)); at most 1 + 2 ln n."""
-    n = m.n
-    s = np.minimum(np.arange(1, n, dtype=np.int64), n - np.arange(1, n, dtype=np.int64))
-    bounds = 1.0 / (n * np.sin(np.pi * s / n))
-    return 1.0 + float(np.minimum(1.0, bounds).sum())
 
 
 def modulated_interval_uniformity_check(

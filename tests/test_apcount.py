@@ -8,6 +8,7 @@ import pytest
 
 import ap4kit as k
 from ap4kit.apcount import (
+    _blocks,
     _cyclic_convolution,
     _mirrored,
     _per_d_partials,
@@ -341,6 +342,86 @@ class TestSupportPairSum:
         assert _support_pair_sum(arrays) == 0
 
 
+def _runs(rng, n, count):
+    """A support of ``count`` disjoint runs of 6 to 9 residues at random gaps,
+    the first one wrapping across 0 (residues n - 3 .. n - 1, then 0 ..)."""
+    mask = np.zeros(n, dtype=bool)
+    start = n - 3
+    for _ in range(count):
+        length = int(rng.integers(6, 10))
+        mask[np.arange(start, start + length) % n] = True
+        start += length + int(rng.integers(2, n // (2 * count)))
+    return mask
+
+
+def _values_on(rng, mask, dtype, wide):
+    """Values on a support: +/-64 with ``wide``, else +/-(1..3), scaled on floats."""
+    size = int(mask.sum())
+    vals = np.zeros(mask.size, dtype=dtype)
+    magnitudes = np.full(size, 64) if wide else rng.integers(1, 4, size)
+    vals[mask] = magnitudes * rng.choice((-1, 1), size)
+    if dtype == np.float64:
+        vals[mask] *= rng.uniform(0.5, 1.0, size)
+    return vals
+
+
+class TestBlocks:
+    """The support-pair sum on supports made of runs, which it splits into blocks."""
+
+    @pytest.mark.parametrize("n", [101, 211])
+    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_runs_match_brute_force(self, n, count, dtype, wide):
+        rng = np.random.default_rng(n + 10 * count + wide)
+        shared = _runs(rng, n, 4)
+        # one support for every input, as F and G have, then one support per input
+        for masks in ([shared] * count, [_runs(rng, n, 4) for _ in range(count)]):
+            arrays = [_values_on(rng, mask, dtype, wide) for mask in masks]
+            p = _sparsest_pair([np.count_nonzero(a) for a in arrays])
+            for support in (np.flatnonzero(arrays[p]), np.flatnonzero(arrays[p + 1])):
+                # four runs, the wrapping one cut in two at 0
+                assert len(_blocks(support)) - 1 == 5
+            want = sum(_brute_partials([a.tolist() for a in arrays]))
+            got = _support_pair_sum(arrays)
+            if dtype == np.int64:
+                assert type(got) is int
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_every_pair_skipped(self, dtype):
+        # with y, z in [0, 4), input 2 is read at 2z - y in [-3, 6], where it is zero
+        n = 101
+        arrays = [np.zeros(n, dtype=dtype) for _ in range(4)]
+        for r, (start, value) in enumerate(((0, 3), (0, -2), (50, 5), (20, 1))):
+            arrays[r][start : start + 4] = value
+        assert sum(_brute_partials([a.tolist() for a in arrays])) == 0
+        got = _support_pair_sum(arrays)
+        assert got == 0
+        assert type(got) is (int if dtype == np.int64 else float)
+
+    def test_scattered_support_is_one_block(self):
+        # a level set has runs of about one residue: one block, every pair kept
+        s = k.quadratic_level_set(k.make_modulus(10007), 0.05)
+        support = np.flatnonzero(s.values)
+        assert _blocks(support).tolist() == [0, support.size]
+
+    def test_interval_signal_blocks_are_its_intervals(self):
+        support = np.flatnonzero(k.build_interval_signal(k.make_modulus(10007)).values)
+        assert _blocks(support).tolist() == list(range(0, support.size + 1, 8))
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_constructions_match_slice_kernel(self, count):
+        m = k.make_modulus(10007)
+        f = k.build_interval_signal(m).values
+        assert _support_pair_sum([f] * count) == sum(_per_d_partials([f] * count).tolist())
+        g = k.build_modulated_signal(m).values
+        oracle = math.fsum(_per_d_partials([g] * count).tolist())
+        assert _support_pair_sum([g] * count) == pytest.approx(oracle, rel=1e-12)
+
+
 class TestRouting:
     """Which j >= 4 route apk_mean_zn takes, with the other one patched to raise."""
 
@@ -434,17 +515,22 @@ class TestCyclicConvolution:
         assert _cyclic_convolution(h, f).tolist() == want
 
 
+def _ap4_mean_profile(s):
+    """Per-d means: entry d is E_x s(x)s(x+d)s(x+2d)s(x+3d); their average is the 4-AP mean."""
+    return _per_d_partials([s.values.astype(np.float64)] * 4) / s.n
+
+
 class TestProfile:
     def test_constant(self):
         m = k.make_modulus(11)
-        prof = k.ap4_mean_profile(k.constant_signal(m, 1))
+        prof = _ap4_mean_profile(k.constant_signal(m, 1))
         assert np.abs(prof - 1.0).max() < 1e-15
 
     def test_profile_average_is_mean(self):
         n = 101
         m = k.make_modulus(n)
         s = k.ZnSignal(m, np.array(_random_int_signal(n, 321), dtype=np.float64))
-        prof = k.ap4_mean_profile(s)
+        prof = _ap4_mean_profile(s)
         mean = k.apk_mean_zn([s] * 4)
         assert abs(math.fsum(prof.tolist()) / n - mean.value) < 1e-12
 

@@ -377,6 +377,26 @@ class TestCli:
             main(["spectrum", "--construction", "Q", "--n", "11", "--csv", "x"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--construction", "F", "--n", "2147483647", "--out", "{dir}/F.json"],
+            ["spectrum", "--construction", "F", "--n", "2147483647", "--csv", "{dir}/F.csv"],
+            ["count", "--file", "{dir}/F.json", "--k", "4"],
+        ],
+    )
+    def test_out_of_memory_exits_2(self, monkeypatch, tmp_path, capsys, argv):
+        # n = 2^31 - 1 is a supported modulus whose int64 array alone takes
+        # 16 GiB; the allocation is simulated, not made
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        k.save_signal(k.build_interval_signal(k.make_modulus(6007)), tmp_path / "F.json")
+        monkeypatch.setitem(k.cli._BUILDERS, "F", exhausted)
+        monkeypatch.setattr(k.cli, "apk_mean_zn", exhausted)
+        assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
 
 # --- the exit-code contract over generated command lines ----------------------
 
