@@ -21,7 +21,7 @@ from .report import (
     run_verify,
     save_report,
 )
-from .search import SearchResult, min_ap4_pm1, min_ap4_ternary, search_grid_designs
+from .search import min_ap4_pm1, min_ap4_ternary, search_grid_designs
 from .spectra import dft, save_spectrum_csv
 
 
@@ -102,30 +102,16 @@ def _finish_report(report: VerificationReport, out: str | None) -> int:
     return 0 if report.passed() else 1
 
 
-def _search_result_json(space: str, n: int | None, result: SearchResult) -> dict:
-    return {
-        "space": space,
-        "n": n,
-        "min": result.best_value,
-        "witnesses": [list(w) for w in result.witnesses],
-        "exhaustive": result.exhaustive,
-    }
-
-
 def _cmd_search(args) -> int:
     if args.space == "grid":
         if args.n is not None:
             print("--n applies to search pm1/ternary only", file=sys.stderr)
             return 2
         designs = search_grid_designs(args.max_results)
-        payload = {
-            "space": "grid",
-            "n": 4,
-            "min": None,
-            "witnesses": [sorted(list(p) for p in d.points) for d in designs],
-            # a capped search that found fewer designs than the cap ran to the end
-            "exhaustive": args.max_results == 0 or len(designs) < args.max_results,
-        }
+        n, best = 4, None
+        witnesses = [sorted(list(p) for p in d.points) for d in designs]
+        # a capped search that found fewer designs than the cap ran to the end
+        exhaustive = args.max_results == 0 or len(designs) < args.max_results
         print(f"{len(designs)} valid designs")
     else:
         if args.n is None:
@@ -135,11 +121,19 @@ def _cmd_search(args) -> int:
             print("--max-results applies to search grid only", file=sys.stderr)
             return 2
         result = min_ap4_pm1(args.n) if args.space == "pm1" else min_ap4_ternary(args.n)
-        payload = _search_result_json(args.space, args.n, result)
+        n, best, exhaustive = args.n, result.best_value, result.exhaustive
+        witnesses = [list(w) for w in result.witnesses]
         print(
             f"minimum {result.best_value} over {result.nodes_explored} assignments, "
             f"{len(result.witnesses)} witnesses"
         )
+    payload = {
+        "space": args.space,
+        "n": n,
+        "min": best,
+        "witnesses": witnesses,
+        "exhaustive": exhaustive,
+    }
     if args.out:
         write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"results written to {args.out}")

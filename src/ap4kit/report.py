@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,19 +51,6 @@ SCHEMA_VERSION = "1"
 FLATNESS_TRIALS = 10
 MODULATED_TRIALS = 20
 
-_CHECK_FIELDS = (
-    "name",
-    "claim_ref",
-    "measured",
-    "bound",
-    "passed",
-    "runtime_ms",
-    "vacuous_at_this_n",
-    "skipped",
-)
-_REPORT_FIELDS = ("schema_version", "kind", "modulus", "seed", "checks")
-
-
 @dataclass
 class CheckRecord:
     name: str
@@ -76,7 +63,7 @@ class CheckRecord:
     skipped: bool = False
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in _CHECK_FIELDS}
+        return asdict(self)
 
 
 @dataclass
@@ -97,13 +84,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "modulus": self.modulus,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return asdict(self)
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -116,24 +97,26 @@ def save_report(report: VerificationReport, path) -> None:
 
 
 def load_report(path) -> VerificationReport:
-    """Load a report; unknown fields and unknown schema versions are rejected."""
+    """Load a report with exactly the fields of the dataclasses above; else IoFailureError."""
     obj = read_json(path)
-    if not isinstance(obj, dict) or set(obj.keys()) != set(_REPORT_FIELDS):
+    if not isinstance(obj, dict) or obj.keys() != {f.name for f in fields(VerificationReport)}:
         raise IoFailureError("report must contain exactly the schema-1 fields")
     if obj["schema_version"] != SCHEMA_VERSION:
         raise IoFailureError(f"unsupported schema version {obj['schema_version']!r}")
-    checks = []
-    for c in obj["checks"]:
-        if not isinstance(c, dict) or set(c.keys()) != set(_CHECK_FIELDS):
-            raise IoFailureError("check record has unexpected fields")
-        checks.append(CheckRecord(**c))
-    return VerificationReport(
-        obj["schema_version"], obj["kind"], obj["modulus"], obj["seed"], checks
-    )
+    if not isinstance(obj["checks"], list):
+        raise IoFailureError("report checks must be a list")
+    check_fields = {f.name for f in fields(CheckRecord)}
+    if not all(isinstance(c, dict) and c.keys() == check_fields for c in obj["checks"]):
+        raise IoFailureError("check record has unexpected fields")
+    return VerificationReport(**{**obj, "checks": [CheckRecord(**c) for c in obj["checks"]]})
 
 
 class _Runner:
-    """Runs pipeline stages in order; an exception fails its stage and skips the rest."""
+    """Runs pipeline stages in order; an exception fails its stage and skips the rest.
+
+    MemoryError is the one exception that propagates: a host without the memory
+    for a stage is an input error for the caller, not a failed check.
+    """
 
     def __init__(self) -> None:
         self.checks: list[CheckRecord] = []
@@ -146,6 +129,8 @@ class _Runner:
         t0 = time.perf_counter()
         try:
             measured, bound, passed, vacuous = fn()
+        except MemoryError:
+            raise
         except Exception as exc:  # a failed stage is recorded; the report is kept
             ms = 1000.0 * (time.perf_counter() - t0)
             error = f"{type(exc).__name__}: {exc}"
@@ -176,22 +161,9 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     given (n, seed, trials).  ``trials`` below 1 is a ValueError: a
     concentration check over no draws measures nothing.
 
-    Every progression sum goes through ``apcount``: the lifted sum is a 4-AP
-    numerator over Z_p for a small prime p (``ap4_sum_z``).  The bracket
-    expansion's 15 terms with at most three G factors are complexity-1
-    patterns that ``apk_mean_zn`` answers without a j >= 4 kernel (the
-    all-ones term exactly, one and two G factors from mean(G), three by one
-    FFT convolution); E[G^4] and the direct E[P^4] they are checked against
-    still run through a j >= 4 kernel, so the 1e-10 identity compares two
-    independent methods.  E[G^4] takes the support-pair sum, which splits
-    G's support into its 64 runs and gathers only the 288 of the 64 x 64
-    run pairs whose progressions can meet G's support at the other two
-    positions, about 7% of the |supp(G)|^2 (about 0.0025 n^2) support
-    pairs.  The dense E[P^4] runs the per-d slice kernel on the mirror list
-    [P] * 4, n slices of length (n + 1) / 2 for the steps d <= (n - 1) / 2,
-    the other half copied.  It multiplies P's own values; P is not split into 1/2 + G/8
-    there.  A stage that raises is recorded as a failed check with its
-    error, and the later stages are skipped.
+    Every progression sum goes through ``apk_mean_zn``, which picks the
+    route.  A stage that raises is recorded as a failed check with its
+    error, and the later stages are skipped; a MemoryError propagates.
     """
     m = make_modulus(n)
     if n < 6000:
@@ -236,8 +208,7 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
 
     def lift_sum():
         signs = cons.sign_grid(state["design"])
-        state["lift"] = cons.lift_signal(signs)
-        lift_total = ap4_sum_z(state["lift"])
+        lift_total = ap4_sum_z(cons.lift_signal(signs))
         grid_total = cons.grid_ap4_sum(signs)
         measured = {"lift_sum": lift_total, "grid_sum": grid_total}
         return measured, None, lift_total == -72 and grid_total == -72, False
@@ -388,7 +359,6 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
         total *= 2.0**-12
         lead_term = 2.0**-12 * 4.0**4 * apk_mean_zn([ones] * 4).value
         direct = apk_mean_zn([state["P"]] * 4).value
-        state["EP"] = direct
         diff = abs(total - direct)
         measured = {
             "value": diff,

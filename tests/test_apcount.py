@@ -118,6 +118,16 @@ class TestApkMeanZn:
             with pytest.raises(ValueError):
                 k.apk_mean_zn([ones] * count)
 
+    def test_complex_signal_rejected(self):
+        m = k.make_modulus(11)
+        phase = k.quadratic_phase_signal(m, 1, 0)
+        ones = k.constant_signal(m, 1)
+        for count in (3, 4, 5):
+            with pytest.raises(ValueError):
+                k.apk_mean_zn([ones] * (count - 1) + [phase])
+        with pytest.raises(ValueError):
+            k.modulated_ap4_mean(phase, (1, 2, 3))
+
     @pytest.mark.parametrize("count", [3, 4, 5])
     def test_values_outside_64_rejected(self, count):
         # -2^63 included: np.abs wraps it to -2^63, which an abs-based guard passes

@@ -124,6 +124,13 @@ class TestSignGridAndLift:
         assert emb(x) - emb(y) == emb(z) - emb(w)
         assert vec(x, y) != vec(z, w)
 
+    def test_freiman_not_additive_fails(self):
+        # x^2 is not additive: (1,1,1)-(2,1,1) and (2,1,1)-(3,1,1) share the
+        # vector difference but their image differences are -3 and -5
+        check = k.freiman_check(lambda p: p[0] ** 2 + 100 * p[1] + 10000 * p[2])
+        assert not check.ok
+        assert check.collision == (((1, 1, 1), (2, 1, 1)), ((2, 1, 1), (3, 1, 1)))
+
     def test_freiman_identity_map(self):
         check = k.freiman_check(lambda p: p[0], [(i,) for i in range(1, 5)])
         assert check.ok
@@ -409,6 +416,11 @@ class TestSampling:
         m = k.make_modulus(11)
         with pytest.raises(ProbabilityOutOfRangeError):
             k.sample_indicator(k.constant_signal(m, 1.5), k.RngStream(0))
+
+    def test_complex_probabilities_rejected(self):
+        m = k.make_modulus(11)
+        with pytest.raises(ProbabilityOutOfRangeError):
+            k.sample_indicator(k.constant_signal(m, 0.5 + 0j), k.RngStream(0))
 
     def test_deterministic_given_seed(self, p10007):
         a = k.sample_indicator(p10007, k.RngStream(42))

@@ -46,6 +46,10 @@ class TestMakeModulus:
         with pytest.raises(TooSmallError):
             k.Modulus(4)
 
+    def test_is_prime_below_two(self):
+        for n in (0, 1, -7):
+            assert not k.is_prime(n), n
+
     def test_matches_sieve_up_to_1e5(self):
         flags = _sieve(100_000)
         for n in range(5, 100_001):
@@ -63,6 +67,12 @@ class TestIntervals:
             k.IntervalZn(-1, 3)
         with pytest.raises(ValueError):
             k.IntervalZn(0, 0)
+
+    def test_interval_longer_than_modulus(self):
+        m = k.make_modulus(11)
+        assert k.IntervalZn(0, 11).residues(m).tolist() == list(range(11))
+        with pytest.raises(ValueError):
+            k.IntervalZn(0, 12).residues(m)
 
     def test_build_from_intervals(self):
         m = k.make_modulus(11)
@@ -199,6 +209,10 @@ class TestRngStream:
         ys = [k.RngStream(7).next_word() for _ in range(3)]
         assert xs == ys
 
+    def test_negative_child_rejected(self):
+        with pytest.raises(ValueError):
+            k.RngStream(1).child(-1)
+
     def test_children_differ(self):
         r = k.RngStream(1)
         seeds = {r.child(i).seed for i in range(100)}
@@ -224,6 +238,13 @@ class TestSignalFiles:
         loaded = k.load_signal(path)
         assert not loaded.exact
         assert np.array_equal(loaded.values, s.values)
+
+    def test_complex_signal_not_saved(self, tmp_path):
+        m = k.make_modulus(11)
+        path = tmp_path / "sig.json"
+        with pytest.raises(ValueError):
+            k.save_signal(k.constant_signal(m, 1j), path)
+        assert not path.exists()
 
     def test_reject_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -126,6 +126,28 @@ class TestReportSerialization:
         with pytest.raises(IoFailureError):
             k.load_report(path)
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda obj: obj.update(checks=5),
+            lambda obj: obj.update(checks=None),
+            lambda obj: obj.update(checks=["x"]),
+            lambda obj: obj["checks"][0].pop("claim_ref"),
+        ],
+        ids=["checks-int", "checks-null", "check-not-dict", "check-missing"],
+    )
+    def test_malformed_checks_rejected(self, verify_6007, tmp_path, malform):
+        path = tmp_path / "report.json"
+        obj = verify_6007.to_dict()
+        malform(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(IoFailureError):
+            k.load_report(path)
+
+    def test_absent_check_is_key_error(self, verify_6007):
+        with pytest.raises(KeyError):
+            verify_6007.check("absent")
+
     def test_export_bad_path(self, verify_6007):
         with pytest.raises(IoFailureError):
             k.save_report(verify_6007, "/nonexistent-dir/report.json")
@@ -156,6 +178,12 @@ class TestRunDemo:
         assert report.passed()
         assert report.check("fourap_excess").measured["value"] >= 1.1
         assert report.check("threeap_vs_cube").measured["value"] <= 0.2
+
+    def test_middle_density_band(self):
+        # 0.1 < c < 0.2 asks only that the 4-AP mean stays above 0.9 density^4
+        check = k.run_demo_quadratic(10007, 0.15).check("fourap_excess")
+        assert check.passed == (check.measured["value"] >= 0.9)
+        assert check.passed
 
     def test_near_half_density_is_random_like(self):
         report = k.run_demo_quadratic(10007, 0.24)
@@ -396,6 +424,25 @@ class TestCli:
         monkeypatch.setattr(k.cli, "apk_mean_zn", exhausted)
         assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 2
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+    @pytest.mark.parametrize(
+        "builder, argv",
+        [
+            ("build_interval_signal", ["verify", "--n", "6007"]),
+            ("build_interval_signal", ["scaling", "--n-list", "6007"]),
+            ("quadratic_level_set", ["demo-quad", "--n", "101", "--c", "0.05"]),
+        ],
+    )
+    def test_stage_out_of_memory_exits_2(self, monkeypatch, capsys, builder, argv):
+        # the one exception that is not a failed check; the allocation is simulated
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr(k.constructions, builder, exhausted)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err == "error: out of memory: Unable to allocate 16.0 GiB\n"
 
 
 # --- the exit-code contract over generated command lines ----------------------

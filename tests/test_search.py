@@ -163,6 +163,8 @@ class TestTernary:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             k.min_ap4_ternary(17)
+        with pytest.raises(ValueError):
+            k.min_ap4_ternary(0)
 
 
 def _latin_square_designs(max_results):

@@ -71,6 +71,11 @@ class TestDftBasics:
         sp = k.dft(k.ZnSignal(m, vals))
         assert np.abs(sp.coeffs - 1 / 11).max() < 1e-12
 
+    def test_coefficient_count_checked(self):
+        m = k.make_modulus(11)
+        with pytest.raises(ValueError):
+            k.Spectrum(m, np.zeros(10, dtype=np.complex128))
+
     def test_constant(self):
         m = k.make_modulus(11)
         sp = k.dft(k.constant_signal(m, 1))
