@@ -151,21 +151,30 @@ def sign_grid(design: GridDesign) -> dict[Triple, int]:
 
 
 def grid_ap4_sum(signs: Mapping[Triple, int]) -> int:
-    """Sum over all (x, d) in (Z^3)^2 of g(x)g(x+d)g(x+2d)g(x+3d), g = 0 off the grid."""
-    total = 0
-    steps = range(-3, 4)
-    for x in signs:
-        for d in itertools.product(steps, steps, steps):
-            prod = 1
-            for i in range(4):
-                q = (x[0] + i * d[0], x[1] + i * d[1], x[2] + i * d[2])
-                v = signs.get(q, 0)
-                if v == 0:
-                    prod = 0
-                    break
-                prod *= v
-            total += prod
-    return total
+    """Sum over x in signs and d in {-3..3}^3 of g(x)g(x+d)g(x+2d)g(x+3d), g = 0 off the keys.
+
+    The steps cover every progression of the 4x4x4 grid.  g is laid out in a
+    dense int8 box, the keys' bounding box widened by 9 on every side so that
+    every term x + i d falls inside it, and the 343 * 4 terms of every key are
+    read by one gather at int32 flat indices.  Values must lie in [-4, 4], as
+    in the lifted signal; a product of four is then at most 256.
+    """
+    if not signs:
+        return 0
+    points = np.array(list(signs), dtype=np.int64)
+    values = np.array(list(signs.values()), dtype=np.int64)
+    if values.min() < -4 or values.max() > 4:
+        raise ValueError("grid values must lie in [-4, 4]")
+    low = points.min(axis=0) - 9
+    shape = points.max(axis=0) + 10 - low
+    box = np.zeros(shape, dtype=np.int8)
+    box[tuple((points - low).T)] = values
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    at = ((points - low) @ strides).astype(np.int32)
+    steps = np.indices((7, 7, 7)).reshape(3, -1).T - 3  # the 343 steps d, one per row
+    offsets = ((steps @ strides)[:, None] * np.arange(4)).astype(np.int32)  # i d, flat
+    terms = box.ravel()[at[:, None, None] + offsets]  # (keys, steps, terms)
+    return int(terms.prod(axis=2, dtype=np.int64).sum())
 
 
 def embed_triple(a: int, b: int, c: int) -> int:
@@ -186,20 +195,22 @@ def freiman_check(
 
     Runs over all pairs of domain points (64^2 for the grid), checking that the
     difference of images depends only on the vector difference and that
-    distinct vector differences give distinct image differences.  On failure
-    the collision field holds two pairs witnessing it.
+    distinct vector differences give distinct image differences.  The
+    embedding is evaluated once per point.  On failure the collision field
+    holds two pairs witnessing it.
     """
     if embedding is None:
         embedding = _default_embedding
     pts = list(points) if points is not None else [
         p for p in itertools.product(*(range(1, GRID_SIDE + 1),) * 3)
     ]
+    images = [embedding(p) for p in pts]
     by_vector: dict[tuple, int] = {}
     by_image: dict[int, tuple] = {}
     first_pair: dict[tuple, tuple] = {}
-    for x, y in itertools.product(pts, pts):
+    for (x, phi_x), (y, phi_y) in itertools.product(zip(pts, images), repeat=2):
         vec = tuple(a - b for a, b in zip(x, y))
-        img = embedding(x) - embedding(y)
+        img = phi_x - phi_y
         if vec in by_vector:
             if by_vector[vec] != img:
                 return FreimanCheck(False, (first_pair[vec], (x, y)))

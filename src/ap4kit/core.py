@@ -115,8 +115,7 @@ class ZnSignal:
         else:
             arr = arr.astype(np.float64)
             exact = False
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr.setflags(write=False)  # astype returned a new array, so the caller holds no alias
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "exact", exact)
@@ -187,10 +186,9 @@ def signal_stats(s: ZnSignal) -> SignalStats:
             total = sum(vals)
             sq = sum(v * v for v in vals)
         return SignalStats(total / n, sq / n, float(lo), float(hi))
-    vals = s.values.tolist()
     return SignalStats(
-        math.fsum(vals) / n,
-        math.fsum(v * v for v in vals) / n,
+        math.fsum(s.values.tolist()) / n,
+        math.fsum((s.values * s.values).tolist()) / n,
         float(s.values.min()),
         float(s.values.max()),
     )

@@ -96,18 +96,42 @@ def save_report(report: VerificationReport, path) -> None:
     write_text(path, report_to_json(report))
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON values each annotation of the dataclasses above admits on load.
+_ADMITS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "bool": lambda v: isinstance(v, bool),
+    "bool | None": lambda v: v is None or isinstance(v, bool),
+    "object": lambda v: True,
+    "list[CheckRecord]": lambda v: isinstance(v, list),
+}
+
+
+def _typed(obj, cls) -> bool:
+    """Whether obj is a dict with exactly the fields of ``cls``, each admitted by its annotation."""
+    return (
+        isinstance(obj, dict)
+        and obj.keys() == {f.name for f in fields(cls)}
+        and all(_ADMITS[f.type](obj[f.name]) for f in fields(cls))
+    )
+
+
 def load_report(path) -> VerificationReport:
-    """Load a report with exactly the fields of the dataclasses above; else IoFailureError."""
+    """Load a report with exactly the fields of the dataclasses above, each of its
+    JSON type; anything else raises IoFailureError."""
     obj = read_json(path)
-    if not isinstance(obj, dict) or obj.keys() != {f.name for f in fields(VerificationReport)}:
-        raise IoFailureError("report must contain exactly the schema-1 fields")
+    if not _typed(obj, VerificationReport):
+        raise IoFailureError("report must contain exactly the schema-1 fields, of their types")
     if obj["schema_version"] != SCHEMA_VERSION:
         raise IoFailureError(f"unsupported schema version {obj['schema_version']!r}")
-    if not isinstance(obj["checks"], list):
-        raise IoFailureError("report checks must be a list")
-    check_fields = {f.name for f in fields(CheckRecord)}
-    if not all(isinstance(c, dict) and c.keys() == check_fields for c in obj["checks"]):
-        raise IoFailureError("check record has unexpected fields")
+    if not all(_typed(c, CheckRecord) for c in obj["checks"]):
+        raise IoFailureError("check record has unexpected fields or field types")
     return VerificationReport(**{**obj, "checks": [CheckRecord(**c) for c in obj["checks"]]})
 
 

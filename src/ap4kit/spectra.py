@@ -3,12 +3,17 @@
 The transform used everywhere is f^(r) = n^-1 * sum_x f(x) w^(-rx) with
 w = exp(2*pi*i/n), so f^(0) is the mean (the density, for an indicator).
 ``dft`` is numpy's O(n log n) FFT at every length (prime lengths included).
+``quadratic_phase_signal`` reads its roots of unity w^x from one read-only
+table per modulus, cached for the last two moduli, so the 30 phases of a
+``verify`` run build it once; the exponent is reduced exactly in int64, so a
+phase is the same whether the table is cached or new.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,8 +67,15 @@ def quadratic_phase_signal(m: Modulus, a: int, b: int = 0, c: int = 0) -> ZnSign
     e = (a % n) * x2 % n
     e = (e + (b % n) * xs) % n
     e = (e + c % n) % n
+    return ZnSignal(m, _roots_of_unity(n)[e])
+
+
+@lru_cache(maxsize=2)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """The read-only table w^x = exp(2 pi i x / n), x in [0, n), kept for the last two moduli."""
     table = np.exp(2j * np.pi * np.arange(n) / n)
-    return ZnSignal(m, table[e])
+    table.setflags(write=False)
+    return table
 
 
 def modulated_interval_uniformity_check(

@@ -12,8 +12,10 @@ from ap4kit.apcount import (
     _cyclic_convolution,
     _mirrored,
     _per_d_partials,
+    _smooth_length,
     _sparsest_pair,
     _support_pair_sum,
+    _three_input_sum,
 )
 from ap4kit.errors import ModulusMismatchError, NotIndicatorError
 
@@ -314,6 +316,112 @@ class TestKernel:
         for arrays, mirrored in _mirror_cases(n, dtype, seed=n):
             assert _mirrored(arrays) is mirrored
             self._check(arrays, dtype)
+
+
+# The repeated value of a "dominant" pivot (P is 1/2 on about 95% of Z_n) and
+# of a "negative" one, per dtype.
+_MODES = {
+    "dominant": {np.int64: 1, np.float64: 0.5, np.complex128: 0.5 - 0.25j},
+    "negative": {np.int64: -3, np.float64: -0.75, np.complex128: -0.75 + 0.5j},
+}
+
+
+def _pivot_values(rng, n, kind, dtype):
+    """The sparsest input, nonzero on about half of Z_n: "dominant" takes its mode on
+    90% of its support, "negative" a negative mode on 60%, "distinct" has no value
+    twice, and "empty" is all zero."""
+    vals = np.zeros(n, dtype=dtype)
+    if kind == "empty":
+        return vals
+    at = rng.choice(n, n // 2, replace=False)
+    # distinct magnitudes 1..64 with random signs; the floats also scaled, so mostly non-integer
+    vals[at] = rng.permutation(np.arange(1, 65))[: at.size] * rng.choice((-1, 1), at.size)
+    if dtype != np.int64:
+        vals[at] *= rng.uniform(0.5, 1.0, at.size)
+    if dtype == np.complex128:
+        vals[at] *= np.exp(2j * np.pi * rng.random(at.size))
+    if kind in _MODES:
+        share = 0.9 if kind == "dominant" else 0.6
+        vals[at[: int(share * at.size)]] = _MODES[kind][dtype]
+    return vals
+
+
+def _pivot_cases(n, dtype, kind, seed):
+    """(arrays, mirrored) for k = 3, 4, 5 with the pivot input of ``kind``: at the
+    first or the last position of a list that is not a mirror list, and at the ends
+    or the centre of a mirror list."""
+    rng = np.random.default_rng(seed)
+    for count in (3, 4, 5):
+        for position in (0, count - 1):
+            arrays = [_kernel_values(rng, n, n, dtype) for _ in range(count)]
+            arrays[position] = _pivot_values(rng, n, kind, dtype)
+            yield arrays, False
+        size = (count + 1) // 2
+        for centre in (False, True):
+            half = [_kernel_values(rng, n, n, dtype) for _ in range(size)]
+            half[size - 1 if centre else 0] = _pivot_values(rng, n, kind, dtype)
+            yield half + half[::-1][count % 2 :], True
+
+
+class TestKernelPivotModes:
+    """Rows at the pivot's most frequent value are summed unscaled and scaled once;
+    every other row is scaled by its own value."""
+
+    @pytest.mark.parametrize("n", [11, 101])
+    @pytest.mark.parametrize("kind", ["dominant", "negative", "distinct", "empty"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+    def test_matches_brute_force(self, n, kind, dtype):
+        for arrays, mirrored in _pivot_cases(n, dtype, kind, seed=n + len(kind)):
+            assert _mirrored(arrays) is mirrored
+            pivot = arrays[int(np.argmin([np.count_nonzero(a) for a in arrays]))]
+            values, counts = np.unique(pivot[pivot != 0], return_counts=True)
+            if kind in _MODES:
+                assert values[np.argmax(counts)] == _MODES[kind][dtype]
+            else:
+                assert counts.max(initial=1) == 1
+            TestKernel._check(arrays, dtype)
+
+
+class TestThreeInputFloat:
+    """The float j = 3 convolution: one real FFT at a 5-smooth length >= 2n, folded mod n."""
+
+    def test_smooth_length(self):
+        def smooth(m):
+            for q in (2, 3, 5):
+                while m % q == 0:
+                    m //= q
+            return m == 1
+
+        for m in range(1, 3000):
+            got = _smooth_length(m)
+            assert got >= m and smooth(got)
+            assert not any(smooth(v) for v in range(m, got))
+        assert [_smooth_length(2 * n) for n in (5, 7, 11, 101, 1009, 10007)] == [
+            10, 15, 24, 216, 2025, 20250
+        ]
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009])
+    def test_matches_exact(self, n):
+        # integer values as floats, so the exact big-integer path is the oracle;
+        # every position triple a < b < c < 5
+        rng = np.random.default_rng(n)
+        for positions in itertools.combinations(range(5), 3):
+            ints = [rng.integers(-64, 65, n) for _ in positions]
+            want = _three_input_sum(list(zip(positions, ints)))
+            got = _three_input_sum([(p, v.astype(np.float64)) for p, v in zip(positions, ints)])
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * n * n * 64**3
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    def test_matches_brute_force(self, n):
+        rng = np.random.default_rng(10 * n)
+        for positions in itertools.combinations(range(5), 3):
+            arrays = [rng.uniform(-4, 4, n) for _ in range(5)]
+            for i in set(range(5)) - set(positions):
+                arrays[i] = np.ones(n)
+            want = math.fsum(_brute_partials([a.tolist() for a in arrays]))
+            got = _three_input_sum([(p, arrays[p]) for p in positions])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 class TestSupportPairSum:

@@ -41,6 +41,19 @@ def p10007(m10007):
     return k.build_probability_signal(m10007)
 
 
+def _grid_ap4_sum_loop(signs):
+    """The sum over keys x and steps d in {-3..3}^3 by dict lookups, the oracle for grid_ap4_sum."""
+    total = 0
+    steps = range(-3, 4)
+    for x in signs:
+        for d in itertools.product(steps, steps, steps):
+            prod = 1
+            for i in range(4):
+                prod *= signs.get(tuple(c + i * e for c, e in zip(x, d)), 0)
+            total += prod
+    return total
+
+
 class TestDesignAndLines:
     def test_reference_contents(self):
         design = k.reference_design()
@@ -103,6 +116,29 @@ class TestSignGridAndLift:
     def test_grid_sum(self):
         assert k.grid_ap4_sum(k.sign_grid(k.reference_design())) == -72
 
+    @pytest.mark.parametrize("span", [range(1, 5), range(0, 6), range(-3, 10, 3)])
+    def test_grid_sum_matches_loop(self, span):
+        # random sign maps on the grid, on a box around it (points off the grid), and
+        # on a sparse lattice where steps of 3 join points; zeros and +/-4 included
+        rng = np.random.default_rng(len(span))
+        box = list(itertools.product(span, span, span))
+        for trial in range(4):
+            keep = rng.random(len(box)) < rng.uniform(0.2, 1.0)
+            signs = {
+                p: int(rng.choice((-4, -1, 0, 1, 1, 2)) if trial % 2 else rng.choice((-1, 1)))
+                for p, kept in zip(box, keep)
+                if kept
+            }
+            assert k.grid_ap4_sum(signs) == _grid_ap4_sum_loop(signs)
+        assert k.grid_ap4_sum({}) == 0 == _grid_ap4_sum_loop({})
+        assert k.grid_ap4_sum({(7, -3, 2): -2}) == 16 == _grid_ap4_sum_loop({(7, -3, 2): -2})
+
+    def test_grid_sum_values_checked(self):
+        with pytest.raises(ValueError):
+            k.grid_ap4_sum({(1, 1, 1): 5})
+        with pytest.raises(ValueError):
+            k.grid_ap4_sum({(1, 1, 1): 1, (2, 2, 2): -5})
+
     def test_embed_values(self):
         assert k.embed_triple(1, 1, 1) == 73
         assert k.embed_triple(4, 4, 4) == 292
@@ -130,6 +166,16 @@ class TestSignGridAndLift:
         check = k.freiman_check(lambda p: p[0] ** 2 + 100 * p[1] + 10000 * p[2])
         assert not check.ok
         assert check.collision == (((1, 1, 1), (2, 1, 1)), ((2, 1, 1), (3, 1, 1)))
+
+    def test_freiman_evaluates_embedding_once_per_point(self):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return k.embed_triple(*p)
+
+        assert k.freiman_check(counted).ok
+        assert len(calls) == 64 and len(set(calls)) == 64
 
     def test_freiman_identity_map(self):
         check = k.freiman_check(lambda p: p[0], [(i,) for i in range(1, 5)])

@@ -1,6 +1,7 @@
 """Moduli, signals, intervals, and the random stream."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestSignalStats:
         s = k.quadratic_phase_signal(m, 1)
         with pytest.raises(ValueError):
             k.signal_stats(s)
+
+    @pytest.mark.parametrize(
+        "build", [k.build_interval_signal, k.build_modulated_signal, k.build_probability_signal]
+    )
+    def test_float_sum_of_squares_is_the_elementwise_fsum(self, build):
+        # the squares numpy forms are the IEEE products Python forms, so the sum is bit-identical
+        s = build(k.make_modulus(10007))
+        vals = s.values.astype(np.float64)
+        got = k.signal_stats(k.ZnSignal(s.modulus, vals))
+        assert got.l2_mean == math.fsum(v * v for v in vals.tolist()) / 10007
+        assert got.mean == math.fsum(vals.tolist()) / 10007
 
     @pytest.mark.parametrize(
         "vals",
@@ -313,6 +325,26 @@ def test_signal_immutable():
     s = k.constant_signal(m, 1)
     with pytest.raises(ValueError):
         s.values[0] = 2
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        np.arange(11, dtype=np.int64),
+        np.arange(11, dtype=np.int32),
+        np.arange(11) % 2 == 0,
+        np.linspace(-1.0, 1.0, 11),
+        np.exp(1j * np.arange(11.0)),
+    ],
+    ids=["int64", "int32", "bool", "float64", "complex128"],
+)
+def test_signal_keeps_no_alias_of_its_source(source):
+    # the one copy is the dtype conversion, which also runs when the dtype already fits
+    s = k.ZnSignal(k.make_modulus(11), source)
+    before = s.values.copy()
+    source[:] = source[::-1]
+    assert not np.shares_memory(s.values, source)
+    assert np.array_equal(s.values, before)
 
 
 def test_signal_length_checked():

@@ -144,6 +144,61 @@ class TestReportSerialization:
         with pytest.raises(IoFailureError):
             k.load_report(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("schema_version", 1),
+            ("kind", None),
+            ("modulus", "6007"),
+            ("modulus", 6007.0),
+            ("modulus", True),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_wrongly_typed_report_field_rejected(self, verify_6007, tmp_path, field, value):
+        path = tmp_path / "report.json"
+        obj = verify_6007.to_dict()
+        obj[field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(IoFailureError):
+            k.load_report(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("passed", "no"),
+            ("passed", 0),
+            ("skipped", None),
+            ("skipped", "false"),
+            ("vacuous_at_this_n", 1),
+            ("runtime_ms", True),
+            ("runtime_ms", "1.5"),
+            ("runtime_ms", None),
+            ("bound", "1e-9"),
+            ("bound", False),
+            ("name", 5),
+            ("claim_ref", None),
+        ],
+    )
+    def test_wrongly_typed_check_field_rejected(self, verify_6007, tmp_path, field, value):
+        # "passed": "no" loaded before, and passed() took the string as true
+        path = tmp_path / "report.json"
+        obj = verify_6007.to_dict()
+        obj["checks"][-1][field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(IoFailureError):
+            k.load_report(path)
+
+    def test_admitted_field_types_load(self, verify_6007, tmp_path):
+        # integer runtimes and bounds are JSON numbers; passed and bound may be null
+        path = tmp_path / "report.json"
+        obj = verify_6007.to_dict()
+        obj["checks"][0].update(runtime_ms=3, bound=1, passed=None, measured=[1, "x"])
+        path.write_text(json.dumps(obj))
+        check = k.load_report(path).checks[0]
+        assert (check.runtime_ms, check.bound, check.passed) == (3, 1, None)
+
     def test_absent_check_is_key_error(self, verify_6007):
         with pytest.raises(KeyError):
             verify_6007.check("absent")

@@ -92,6 +92,28 @@ class TestDftBasics:
             assert abs(abs(ref[r]) - 5**-0.5) < 1e-12
             assert abs(sp.coeffs[r] - ref[r]) < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 101, 10007])
+    def test_quadratic_phase_matches_uncached_formula(self, n):
+        # the table is cached per modulus; a phase must equal the one built from a new table
+        m = k.make_modulus(n)
+        xs = np.arange(n, dtype=np.int64)
+        for a, b, c in ((1, 0, 0), (3, n - 1, 7), (n - 2, 5, n + 3), (-4, -9, -1)):
+            e = ((a % n) * (xs * xs % n) % n + (b % n) * xs % n + c % n) % n
+            want = np.exp(2j * np.pi * np.arange(n) / n)[e]
+            s = k.quadratic_phase_signal(m, a, b, c)
+            assert np.array_equal(s.values, want)
+            assert not s.values.flags.writeable
+
+    def test_quadratic_phase_table_is_read_only(self):
+        from ap4kit.spectra import _roots_of_unity
+
+        k.quadratic_phase_signal(k.make_modulus(101), 1)
+        table = _roots_of_unity(101)
+        assert table is _roots_of_unity(101)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
     def test_matches_reference_small(self):
         for n, seed in ((11, 1), (101, 2)):
             m = k.make_modulus(n)
