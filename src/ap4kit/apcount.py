@@ -11,25 +11,39 @@ complexity 1 have closed forms: j <= 2 gives the product of the constants
 and of the inputs' sums, because (x + a d, x + b d) runs over Z_n^2 once
 when a != b; j = 3 is one cyclic convolution of two dilated inputs,
 gathered against the third (``_three_input_sum``: a big-integer multiply on
-exact inputs, an FFT at a 5-smooth length >= 2n on float inputs).  Any
-j >= 4 takes one of two routes, chosen from k, the support sizes s_r and n
+exact inputs, an FFT at a 5-smooth length >= 2n on float inputs).
+
+With j >= 4, an input that is mostly one nonzero value is first split at
+it, when that pays.  For any value m, sum prod a_i = sum prod (a_r -> m) +
+sum prod (a_r -> a_r - m): the first term has one more constant input and
+re-enters the route tree (with k = 4, the j = 3 convolution), and the
+second replaces a_r by its deviation from m, nonzero only off m, and takes
+one of the two j >= 4 kernels below without being split again.  The input
+split is the one with the fewest points o_r off its mode m_r (its most
+frequent nonzero value), and only when (k - 1) o_r n is below the cost of
+the unsplit route.  Only inputs with support above n / 2 are searched for
+a mode, which sorts them; any other has o_r >= n / 2 >= s_r, so the split
+cannot pay, and the sparse signals and level sets never sort.  The
+probability signal P = (G + 4) / 8 is 1/2 on about 95% of Z_n, so E[P^4]
+becomes one j = 3 convolution plus a slice sum over the 5% of rows off 1/2.
+
+The two j >= 4 kernels are chosen from k, the support sizes s_r and n
 alone.  The per-d slice kernel ``_per_d_partials`` sums over the support of
 its sparsest input, the pivot, at a cost of (k - 1) min(s) n contiguous
 products, half that on a mirror list (inputs that read the same reversed,
 such as [s] * k), where it computes only the steps d <= (n - 1) / 2.  Rows
-at the pivot's most frequent nonzero value, its mode (1/2 on about 95% of
-the probability signal, 1 on every row of a 0/1 input), are summed unscaled
+at the pivot's mode (1 on every row of a 0/1 input) are summed unscaled
 and scaled by the mode once, so only the other rows pay a scaling pass.  It
 also serves the phase-modulated means, and no other module calls it.  The
 support-pair sum ``_support_pair_sum`` enumerates the supports of the
 adjacent pair (p, p + 1) with the least product s_p s_{p+1} and reads every
 other input by one gather, at a cost of at most (k - 2) s_p s_{p+1}
-gathered elements.  It splits both supports
-into blocks, their runs of consecutive residues when those average at least
-``_RUN_POINTS`` points and else the whole support, and skips every block
-pair in which some other input is read only where it is zero (tested with
-prefix counts), so on the 64 runs of the interval and modulated signals it
-gathers only the run pairs that can hold a progression.  One gather costs
+gathered elements.  It splits both supports into blocks, their runs of
+consecutive residues when those average at least ``_RUN_POINTS`` points
+and else the whole support, and skips every block pair in which some other
+input is read only where it is zero (tested with prefix counts), so on the
+64 runs of the interval and modulated signals it gathers only the run
+pairs that can hold a progression.  One gather costs
 about five contiguous products, so the pair route is taken when
 5 (k - 2) s_p s_{p+1} is below the slice kernel's cost: on the interval and
 modulated signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and
@@ -95,6 +109,13 @@ def _mirrored(arrays: list[np.ndarray]) -> bool:
     return all(np.array_equal(arrays[i], arrays[k - 1 - i]) for i in range(k // 2))
 
 
+def _mode(values: np.ndarray) -> tuple[int | float | complex, int]:
+    """The most frequent entry of a nonempty array (the first in sorted order on a tie) and its count."""
+    distinct, counts = np.unique(values, return_counts=True)
+    top = int(np.argmax(counts))
+    return distinct[top].item(), int(counts[top])
+
+
 def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     """partials[d] = sum_x prod_i arrays[i][(x + i*d) mod n]; int, real or complex arrays.
 
@@ -108,9 +129,11 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     The rows y at the pivot's mode (its most frequent nonzero value, the
     first in sorted order on a tie) are added up unscaled, in increasing y,
     and their sum is multiplied by the mode once; then each other row is
-    scaled by a_p(y) and added, in increasing y.  On the probability signal that
-    skips the scaling pass of about 95% of the rows.  Integer partials stay
-    exact: the mode rows' sum is at most n * 64^(k-1) before the scaling.
+    scaled by a_p(y) and added, in increasing y.  On a 0/1 input that skips
+    the scaling pass of every row.  Integer partials stay exact for k <= 5
+    and n < 2^31 with every input in [-64, 64] but one in [-128, 128] (a mode
+    split's deviation): every partial, and the mode rows' sum before and
+    after its scaling, is at most n * 128 * 64^(k-1) <= n * 2^31 < 2^62.
 
     Reading a progression backwards, x' = x + (k - 1) d with step -d, gives
     partials[-d] = the partials of the reversed list at d.  A mirror list
@@ -148,8 +171,7 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
 
     support = np.flatnonzero(pivot)
     if support.size:
-        values, counts = np.unique(pivot[support], return_counts=True)
-        mode = values[np.argmax(counts)]
+        mode, _ = _mode(pivot[support])
         at_mode = pivot[support] == mode
         for y in support[at_mode].tolist():
             out[:width] += row(y)
@@ -209,10 +231,11 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
     each block I, the rows y in I against the points of its kept blocks J,
     in increasing order.  The cost is (k - 2) gathered elements per kept
     (y, z), at most (k - 2) |supp(a_p)| |supp(a_{p+1})|.  Skipped pairs add
-    only exact zeros, so integer inputs stay exact: an entry of prod @ v is
-    at most |supp| * 64^(k-1) < 2^55 and its product with u at most 2^61 for
-    n < 2^31, and the terms are summed in Python integers; real inputs are
-    summed with fsum.
+    only exact zeros, so integer inputs stay exact for k <= 5 and n < 2^31
+    with every input in [-64, 64] but one in [-128, 128] (a mode split's
+    deviation): an entry of prod @ v is at most n * 128 * 64^(k-2) <= 2^56
+    and its product with u at most n * 128 * 64^(k-1) < 2^62, and the terms
+    are summed in Python integers; real inputs are summed with fsum.
     """
     n = arrays[0].shape[0]
     total = sum if np.result_type(*arrays) == np.int64 else math.fsum
@@ -340,21 +363,103 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     return math.fsum((g * conv[at]).tolist())
 
 
+def _slice_sum(arrays: list[np.ndarray]) -> int | float:
+    """The slice kernel's partials summed over d.
+
+    An exact per-d sum is at most n * 128 * 64^4 < 2^62 for n < 2^31 (one
+    input may be a split's deviation, in [-128, 128]), so int64 holds it; the
+    sum over d can pass 2^63, so it is reduced in Python integers.
+    """
+    partials = _per_d_partials(arrays)
+    return (sum if partials.dtype == np.int64 else math.fsum)(partials.tolist())
+
+
+def _kernel_route(arrays: list[np.ndarray], sizes: list[int]):
+    """(cost, route): the cheaper j >= 4 kernel for inputs with support sizes s_r = sizes[r].
+
+    The slice kernel costs (k - 1) min(s) n contiguous products, half that on
+    a mirror list, and the support-pair sum at most (k - 2) s_p s_{p+1}
+    gathers, fewer when it skips block pairs; one gather costs about five
+    contiguous products.  The rule charges every pair, skipped or not, so it
+    depends on sizes and n alone.
+    """
+    k, n = len(arrays), arrays[0].shape[0]
+    p = _sparsest_pair(sizes)
+    pair_cost = 5 * (k - 2) * sizes[p] * sizes[p + 1]
+    slice_cost = (k - 1) * min(sizes) * n / (2 if _mirrored(arrays) else 1)
+    if pair_cost < slice_cost:
+        return pair_cost, _support_pair_sum
+    return slice_cost, _slice_sum
+
+
+def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
+    """Sum over all (x, d) of prod_i arrays[i][(x + i*d) mod n] by the route tree of ``apk_mean_zn``.
+
+    A mode split's deviation a_r - m lies in [-128, 128] on exact inputs, so
+    its term goes straight to a j >= 4 kernel: it is never split again nor
+    handed to the j = 3 convolution, which packs values in [-64, 64].
+    ``modes`` maps the ``id`` of each input searched for its mode to
+    (mode, count).  Every searched array is one of the top-level caller's
+    inputs, alive for the whole call, so each distinct input is searched once.
+    """
+    n, k = arrays[0].shape[0], len(arrays)
+    total = sum if np.result_type(*arrays) == np.int64 else math.fsum
+    constants = []
+    free = []  # (position, values) of the non-constant inputs
+    for i, a in enumerate(arrays):
+        if (a == a[0]).all():
+            constants.append(a[0].item())
+        else:
+            free.append((i, a))
+    scale = math.prod(constants)
+    if len(free) <= 2:
+        return scale * n ** (2 - len(free)) * math.prod(total(a.tolist()) for _, a in free)
+    if len(free) == 3:
+        return scale * _three_input_sum(free)
+    sizes = [np.count_nonzero(a) for a in arrays]
+    cost, route = _kernel_route(arrays, sizes)
+    candidates = []  # (points off the mode, r, mode) for each input with support above n / 2
+    for r, a in free:
+        if 2 * sizes[r] > n:
+            if id(a) not in modes:
+                modes[id(a)] = _mode(a[a != 0])
+            mode, count = modes[id(a)]
+            candidates.append((n - count, r, mode))
+    if candidates:
+        off, r, mode = min(candidates)
+        if (k - 1) * off * n < cost:
+            first, second = list(arrays), list(arrays)
+            first[r] = np.full(n, mode, dtype=arrays[r].dtype)
+            second[r] = arrays[r] - mode
+            sizes[r] = off
+            return _pattern_sum(first, modes) + _kernel_route(second, sizes)[1](second)
+    return route(arrays)
+
+
 def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     """Mean over all n^2 pairs (x, d) of prod_i signals[i](x + i*d), k = len(signals).
 
     Exact integer path when every signal is integer-valued.  Constant inputs
-    are factored out first; with j non-constant inputs left, j <= 2 is
-    answered in closed form, j = 3 by one cyclic convolution (a big-integer
-    multiply on exact inputs, an FFT on float inputs) and j >= 4 by the
-    support-pair sum when 5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n, with the
-    right side halved when the inputs read the same reversed (s_r the
-    support sizes, (p, p + 1) the adjacent pair with the least product),
-    else by the per-d slice kernel, which computes only half the steps of
-    such a mirror list.  The rule charges the support-pair sum for all
-    s_p s_{p+1} pairs, though it skips the block pairs that hold no
-    progression, so it depends on sizes and n alone.  The route is the same
-    for exact and float inputs; only the reduction (Python integers or
+    are factored out first; with j non-constant inputs left:
+
+    - j <= 2 is answered in closed form;
+    - j = 3 by one cyclic convolution (a big-integer multiply on exact
+      inputs, an FFT on float inputs);
+    - j >= 4 first splits the input r with the fewest points o_r off its
+      nonzero mode m_r, searched only on inputs with support above n / 2,
+      when (k - 1) o_r n is below the cost of the route below: the term with
+      a_r set to m_r re-enters this list, and the term with a_r - m_r takes
+      the route below, unsplit;
+    - else j >= 4 takes the support-pair sum when
+      5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n, with the right side halved
+      when the inputs read the same reversed (s_r the support sizes,
+      (p, p + 1) the adjacent pair with the least product), else the per-d
+      slice kernel, which computes only half the steps of such a mirror
+      list.  The rule charges the support-pair sum for all s_p s_{p+1}
+      pairs, though it skips the block pairs that hold no progression.
+
+    Every choice depends on the values' sizes, modes and n alone, and is the
+    same for exact and float inputs; only the reduction (Python integers or
     compensated summation) and the j = 3 convolution differ.
     """
     k = len(signals)
@@ -370,35 +475,8 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     # min and max, not abs: np.abs(-2^63) wraps to -2^63 and would pass
     if exact and any(int(s.values.min()) < -64 or int(s.values.max()) > 64 for s in signals):
         raise ValueError("exact kernel requires integer values in [-64, 64]")
-    total = sum if exact else math.fsum
     arrays = [s.values if exact else s.values.astype(np.float64, copy=False) for s in signals]
-    constants = []
-    free = []  # (position, values) of the non-constant inputs
-    for i, a in enumerate(arrays):
-        if (a == a[0]).all():
-            constants.append(a[0].item())
-        else:
-            free.append((i, a))
-    scale = math.prod(constants)
-    if len(free) <= 2:
-        result = scale * n ** (2 - len(free)) * math.prod(total(a.tolist()) for _, a in free)
-    elif len(free) == 3:
-        result = scale * _three_input_sum(free)
-    else:
-        # The slice kernel costs (k - 1) min(s) n contiguous products, half
-        # that on a mirror list, and the support-pair sum at most
-        # (k - 2) s_p s_{p+1} gathers, fewer when it skips block pairs; one
-        # gather costs about five contiguous products.
-        sizes = [np.count_nonzero(a) for a in arrays]
-        p = _sparsest_pair(sizes)
-        slice_cost = (k - 1) * min(sizes) * n / (2 if _mirrored(arrays) else 1)
-        if 5 * (k - 2) * sizes[p] * sizes[p + 1] < slice_cost:
-            result = _support_pair_sum(arrays)
-        else:
-            # An exact per-d sum is at most n * 64^5 < 2^61 for n < 2^31, so
-            # int64 holds it; the sum over d can pass 2^63, so it is reduced in
-            # Python integers.
-            result = total(_per_d_partials(arrays).tolist())
+    result = _pattern_sum(arrays, {})
     return ApMean(result / (n * n), result if exact else None, n * n)
 
 

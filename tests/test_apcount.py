@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ap4kit as k
+from ap4kit import apcount
 from ap4kit.apcount import (
     _blocks,
     _cyclic_convolution,
@@ -570,6 +571,196 @@ class TestRouting:
         oracle = _support_pair_sum([s.values] * 4)
         monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
+
+
+def _majority(rng, n, mode, off, dtype):
+    """mode everywhere but on ``off`` random points, which get +64 (exact) or a random float."""
+    vals = np.full(n, mode, dtype=dtype)
+    at = rng.choice(n, off, replace=False)
+    vals[at] = 64 if dtype == np.int64 else rng.uniform(0.0, 1.0, off)
+    return vals
+
+
+def _no_mode(rng, n, dtype):
+    """Dense values with no dominant one: 1..4 (exact) or uniform in [0.1, 1) (float)."""
+    if dtype == np.int64:
+        return rng.integers(1, 5, n).astype(np.int64)
+    return rng.uniform(0.1, 1.0, n)
+
+
+def _split_cases(n, count, dtype, seed):
+    """Lists whose mode split pays: [a] * count, distinct majority inputs (no
+    mirror list), and one majority input at each middle position among inputs
+    with no dominant value.  Exact majorities are -64 with +64 points, so the
+    deviation is 128 there; float ones are 1/2 with random points, like P."""
+    rng = np.random.default_rng(seed)
+    mode = -64 if dtype == np.int64 else 0.5
+    off = max(1, n // 20)
+    yield [_majority(rng, n, mode, off, dtype)] * count
+    yield [_majority(rng, n, mode, off + i % 2, dtype) for i in range(count)]
+    for middle in range(1, count - 1):
+        arrays = [_no_mode(rng, n, dtype) for _ in range(count)]
+        arrays[middle] = _majority(rng, n, mode, off, dtype)
+        yield arrays
+
+
+class _Recorder:
+    """Records the arrays handed to each kernel route (and runs it, unless stubbed)."""
+
+    def __init__(self, monkeypatch, stub=False):
+        self.calls = []
+        for name in ("_slice_sum", "_support_pair_sum", "_three_input_sum"):
+            original = getattr(apcount, name)
+
+            def record(arrays, name=name, original=original):
+                self.calls.append((name, arrays))
+                return 0 if stub else original(arrays)
+
+            monkeypatch.setattr(f"ap4kit.apcount.{name}", record)
+        self.searched = []
+        original_mode = apcount._mode
+
+        def mode(values):
+            self.searched.append(values)
+            return original_mode(values)
+
+        monkeypatch.setattr("ap4kit.apcount._mode", mode)
+
+    def kernels(self):
+        return [(name, arrays) for name, arrays in self.calls if name != "_three_input_sum"]
+
+    def deviations(self, signals):
+        """The arrays the j >= 4 kernels read that are neither an input nor constant."""
+        return [a for _, arrays in self.kernels() for a in arrays
+                if not any(a is s.values for s in signals) and not (a == a[0]).all()]
+
+
+class TestModeSplit:
+    """An input split at its mode: a term with that input constant, plus the deviation's sum."""
+
+    @pytest.mark.parametrize("n", [7, 11, 101])
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_exact_matches_unsplit_kernel_and_brute_force(self, monkeypatch, n, count):
+        for arrays in _split_cases(n, count, np.int64, seed=n + count):
+            m = k.make_modulus(n)
+            unsplit = sum(_per_d_partials(arrays).tolist())
+            assert unsplit == sum(_brute_partials([a.tolist() for a in arrays]))
+            signals = [k.ZnSignal(m, a) for a in arrays]
+            with monkeypatch.context() as patch:
+                recorder = _Recorder(patch)
+                assert k.apk_mean_zn(signals).exact_numerator == unsplit
+            # split: a kernel read a deviation, an array none of the inputs is, and the
+            # majority input's is 128 where it is nonzero (a k = 5 first term may split
+            # an input with no dominant value too, at a deviation in [-3, 3])
+            deviations = recorder.deviations(signals)
+            assert any(set(np.abs(d).tolist()) == {0, 128} for d in deviations)
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_float_matches_unsplit_kernel_and_brute_force(self, monkeypatch, n, count):
+        for arrays in _split_cases(n, count, np.float64, seed=n + count):
+            m = k.make_modulus(n)
+            unsplit = math.fsum(_per_d_partials(arrays).tolist())
+            brute = math.fsum(_brute_partials([a.tolist() for a in arrays]))
+            signals = [k.ZnSignal(m, a) for a in arrays]
+            with monkeypatch.context() as patch:
+                recorder = _Recorder(patch)
+                got = k.apk_mean_zn(signals).value * n * n
+            assert got == pytest.approx(unsplit, rel=1e-12)
+            assert got == pytest.approx(brute, rel=1e-12)
+            assert recorder.deviations(signals)
+
+    def test_deviation_takes_pair_route(self, monkeypatch):
+        # [D, S, S, D] with D = -64 but on 2 points, S nonzero on 10: the unsplit list
+        # costs 5 * 2 * 10 * 10 = 1000 on the pair route, the split 3 * 2 * 101 = 606,
+        # and its deviation list [D + 64, S, S, D] costs 5 * 2 * 2 * 10 = 200 < 606 in pairs
+        n = 101
+        rng = np.random.default_rng(5)
+        dense = _majority(rng, n, -64, 2, np.int64)
+        sparse = np.zeros(n, dtype=np.int64)
+        sparse[rng.choice(n, 10, replace=False)] = rng.integers(1, 65, 10) * rng.choice((-1, 1), 10)
+        arrays = [dense, sparse, sparse, dense]
+        oracle = sum(_brute_partials([a.tolist() for a in arrays]))
+        recorder = _Recorder(monkeypatch)
+        m = k.make_modulus(n)
+        assert k.apk_mean_zn([k.ZnSignal(m, a) for a in arrays]).exact_numerator == oracle
+        assert [name for name, _ in recorder.calls] == ["_three_input_sum", "_support_pair_sum"]
+        deviation = recorder.kernels()[0][1][0]
+        assert np.array_equal(deviation, dense + 64)
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_probability_signal_splits_once_per_level(self, monkeypatch, count):
+        # [P] * 4: one j = 3 convolution and one slice sum over P - 1/2; [P] * 5 splits
+        # its first term again.  P is searched once either way.
+        p = k.build_probability_signal(k.make_modulus(1201))
+        recorder = _Recorder(monkeypatch, stub=True)
+        k.apk_mean_zn([p] * count)
+        assert len(recorder.searched) == 1
+        assert [name for name, _ in recorder.calls] == (
+            ["_three_input_sum"] + ["_slice_sum"] * (count - 3)
+        )
+        for level, (_, arrays) in enumerate(recorder.kernels()[::-1]):
+            assert all((a == 0.5).all() for a in arrays[:level])
+            assert np.array_equal(arrays[level], p.values - 0.5)
+            assert all(a is p.values for a in arrays[level + 1 :])
+
+    def test_other_signals_keep_their_route(self, monkeypatch):
+        # F, G and the c = 0.05 level set (support <= n / 2) are never searched;
+        # the sampled set A has no dominant value, so it is searched at most
+        # (when its support passes n / 2) but not split
+        m = k.make_modulus(10007)
+        p = k.build_probability_signal(m)
+        sparse = [k.build_interval_signal(m), k.build_modulated_signal(m),
+                  k.quadratic_level_set(m, 0.05)]
+        samples = [k.sample_indicator(p, k.RngStream(seed)) for seed in range(4)]
+        assert {2 * np.count_nonzero(a.values) > m.n for a in samples} == {False, True}
+        cases = [(s, "_support_pair_sum") for s in sparse] + [(s, "_slice_sum") for s in samples]
+        for s, route in cases:
+            for count in (4, 5):
+                with monkeypatch.context() as patch:
+                    recorder = _Recorder(patch, stub=True)
+                    k.apk_mean_zn([s] * count)
+                assert len(recorder.calls) == 1
+                name, arrays = recorder.calls[0]
+                assert name == route
+                assert all(a is s.values for a in arrays)
+                searched = 1 if 2 * np.count_nonzero(s.values) > m.n else 0
+                assert len(recorder.searched) == searched
+
+    def test_no_search_at_or_below_half_support(self, monkeypatch):
+        # a dense majority input beside inputs of support exactly (n + 1) / 2 and n // 2
+        n = 101
+        rng = np.random.default_rng(9)
+        half = np.zeros(n, dtype=np.int64)
+        half[rng.choice(n, n // 2, replace=False)] = 1
+        more = np.zeros(n, dtype=np.int64)
+        more[rng.choice(n, n // 2 + 1, replace=False)] = 1
+        dense = _majority(rng, n, -64, 3, np.int64)
+        half, dense, more = (k.ZnSignal(k.make_modulus(n), a) for a in (half, dense, more))
+        recorder = _Recorder(monkeypatch, stub=True)
+        k.apk_mean_zn([half, dense, more, dense])
+        assert [v.size for v in recorder.searched] == [n, n // 2 + 1]
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_extreme_exact_values(self, count):
+        # the int64 bounds' extremes at n = 7: a deviation of 128 against inputs at
+        # +/-64 makes every per-d sum n * 128 * 64^(count - 1) (2^62 at count = 5
+        # and n = 2^31) and every support-pair term its n-th part times 128 * 64^(count - 1)
+        n = 7
+        top = n * 128 * 64 ** (count - 1)
+        deviation = np.full(n, 128, dtype=np.int64)
+        plus, minus = np.full(n, 64, dtype=np.int64), np.full(n, -64, dtype=np.int64)
+        for rest, sign in (([plus] * (count - 1), 1), ([minus] + [plus] * (count - 2), -1)):
+            for at in range(count):
+                arrays = rest[:at] + [deviation] + rest[at:]
+                assert _per_d_partials(arrays).tolist() == [sign * top] * n
+                assert _support_pair_sum(arrays) == sign * n * top
+        # the exact route on -64 with one +64 point, split there
+        vals = np.full(n, -64, dtype=np.int64)
+        vals[3] = 64
+        want = sum(_brute_partials([vals.tolist()] * count))
+        signal = k.ZnSignal(k.make_modulus(n), vals)
+        assert k.apk_mean_zn([signal] * count).exact_numerator == want
 
 
 class TestClosedForms:
