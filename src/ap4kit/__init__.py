@@ -64,6 +64,7 @@ from .spectra import (
     Spectrum,
     dft,
     max_coefficient,
+    max_coefficients_of_parts,
     modulated_interval_uniformity_check,
     quadratic_phase_signal,
     save_spectrum_csv,

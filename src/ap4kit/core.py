@@ -85,9 +85,13 @@ class IntervalZn:
         if self.length < 1:
             raise ValueError("interval length must be positive")
 
-    def residues(self, m: Modulus) -> np.ndarray:
+    def require_fit(self, m: Modulus) -> None:
+        """Raise ValueError unless the start is a residue mod n and the length is at most n."""
         if self.length > m.n or self.start >= m.n:
             raise ValueError("interval does not fit modulus")
+
+    def residues(self, m: Modulus) -> np.ndarray:
+        self.require_fit(m)
         return (self.start + np.arange(self.length, dtype=np.int64)) % m.n
 
 

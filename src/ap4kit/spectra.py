@@ -5,8 +5,9 @@ w = exp(2*pi*i/n), so f^(0) is the mean (the density, for an indicator).
 ``dft`` is numpy's O(n log n) FFT at every length (prime lengths included).
 ``quadratic_phase_signal`` reads its roots of unity w^x from one read-only
 table per modulus, cached for the last two moduli, so the 30 phases of a
-``verify`` run build it once; the exponent is reduced exactly in int64, so a
-phase is the same whether the table is cached or new.
+``verify`` run (10 flatness phases and 20 chirps w^(a y^2)) build it once;
+the exponent is reduced exactly in int64, so a phase is the same whether the
+table is cached or new.
 """
 
 from __future__ import annotations
@@ -55,6 +56,25 @@ def max_coefficient(sp: Spectrum) -> float:
     return float(np.abs(sp.coeffs).max())
 
 
+def max_coefficients_of_parts(z: np.ndarray) -> tuple[float, float]:
+    """max_coefficient of Re z and of Im z, two real signals of odd length n, from one FFT.
+
+    With Z the unnormalized transform of z, coefficient r of Re z is
+    (Z_r + conj Z_-r) / 2n and that of Im z is (Z_r - conj Z_-r) / 2in.
+    These formulas give coefficient -r as the exact conjugate of coefficient
+    r, as for any real signal, so the frequencies 0 <= r <= (n-1)/2 hold
+    both maxima.
+    """
+    n = len(z)
+    spec = np.fft.fft(z)
+    half = spec[: (n + 1) // 2]
+    mirror = np.concatenate((spec[:1], spec[: (n - 1) // 2 : -1]))  # Z_-r, same r
+    np.conjugate(mirror, out=mirror)
+    total = half + mirror
+    np.subtract(half, mirror, out=mirror)
+    return float(np.abs(total).max()) / (2 * n), float(np.abs(mirror).max()) / (2 * n)
+
+
 def quadratic_phase_signal(m: Modulus, a: int, b: int = 0, c: int = 0) -> ZnSignal:
     """The complex signal w^(a x^2 + b x + c) on Z_n.
 
@@ -86,16 +106,34 @@ def modulated_interval_uniformity_check(
     Returns (measured, 2 n^-1/2 ln n); the measured value never exceeds the
     bound, because the phase spectrum is flat at n^-1/2 and the interval
     spectrum has l1 norm at most 2 ln n.
+
+    No transform is taken.  n is prime, so 2a is invertible; with
+    s = (r - b)(2a)^-1 the exponent a x^2 + (b - r) x + c equals
+    a (x - s)^2 + c - a s^2, so coefficient r is
+    n^-1 w^(c - a s^2) sum_{x in I} psi(x - s) with psi(y) = w^(a y^2).
+    The factor w^(c - a s^2) only rotates the coefficient: c never changes
+    its modulus.  As r runs over Z_n so does s, so the largest modulus is
+    n^-1 times the largest sum of psi over a cyclic window of I's length;
+    the start of I and b only decide which coefficient holds which window.
+    One cumulative sum of psi, of length n + 1, gives all n window sums.
     """
-    a, b, c = quad
-    if a % m.n == 0:
+    a = quad[0]
+    n = m.n
+    if a % n == 0:
         raise DegenerateQuadraticError("leading coefficient vanishes mod n")
-    phase = quadratic_phase_signal(m, a, b, c)
-    indicator = np.zeros(m.n, dtype=np.float64)
-    indicator[interval.residues(m)] = 1.0
-    sp = dft(ZnSignal(m, indicator * phase.values))
-    bound = 2.0 * math.log(m.n) / math.sqrt(m.n)
-    return max_coefficient(sp), bound
+    interval.require_fit(m)
+    length = interval.length
+    prefix = np.zeros(n + 1, dtype=np.complex128)
+    np.cumsum(quadratic_phase_signal(m, a).values, out=prefix[1:])
+    # The window from t holds psi(t) .. psi(t + length - 1); from t = n - length + 1
+    # on it wraps: psi(t) .. psi(n - 1), then psi(0) .. psi(t + length - n - 1).
+    split = n - length + 1
+    windows = np.empty(n, dtype=np.complex128)
+    np.subtract(prefix[length:], prefix[:split], out=windows[:split])
+    np.subtract(prefix[n], prefix[split:n], out=windows[split:])
+    windows[split:] += prefix[1:length]
+    bound = 2.0 * math.log(n) / math.sqrt(n)
+    return float(np.abs(windows).max()) / n, bound
 
 
 def save_spectrum_csv(sp: Spectrum, path) -> None:

@@ -94,6 +94,62 @@ class TestRunVerify:
             k.run_verify(5003, seed=0)
 
 
+SAMPLING_TRIALS = (1, 2, 3, 20)
+
+
+@pytest.fixture(scope="module")
+def sampling_runs():
+    """run_verify(6007, seed 1) per trial count, with its np.fft.fft calls counted."""
+    runs = {}
+    fft = np.fft.fft
+    for trials in SAMPLING_TRIALS:
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "fft", spy)
+            report = k.run_verify(6007, seed=1, trials=trials)
+        runs[trials] = (report.check("sampling_concentration").measured, len(calls))
+    return runs
+
+
+def _per_draw_sampling(n, seed, trials):
+    """The sampling stage one draw per transform: densities and max |dft(A) - dft(P)|."""
+    p_sig = k.build_probability_signal(k.make_modulus(n))
+    sp_p = k.dft(p_sig)
+    sub = k.RngStream(seed).child(2)
+    densities, deviations = [], []
+    for i in range(trials):
+        sample = k.sample_indicator(p_sig, sub.child(i))
+        densities.append(k.signal_stats(sample).mean)
+        deviations.append(float(np.abs(k.dft(sample).coeffs - sp_p.coeffs).max()))
+    return densities, deviations
+
+
+class TestSamplingPairs:
+    @pytest.mark.parametrize("trials", SAMPLING_TRIALS)
+    def test_matches_per_draw_transforms(self, sampling_runs, trials):
+        measured, _ = sampling_runs[trials]
+        densities, deviations = _per_draw_sampling(6007, 1, trials)
+        assert measured["densities"] == densities
+        assert len(measured["max_deviations"]) == trials
+        np.testing.assert_allclose(measured["max_deviations"], deviations, rtol=1e-12, atol=0)
+
+    def test_densities_recorded_before_pairing(self, sampling_runs):
+        # the one-transform-per-draw stage gave these at n = 6007, seed 1
+        want = [0.505410354586316, 0.4967537872482104, 0.49908440153154654]
+        assert sampling_runs[3][0]["densities"] == want
+        assert sampling_runs[1][0]["densities"] == want[:1]
+
+    @pytest.mark.parametrize("trials, ffts", [(1, 13), (2, 13), (3, 14), (20, 22)])
+    def test_one_fft_per_pair_of_draws(self, sampling_runs, trials, ffts):
+        # 10 flatness phases, G and P, then one transform per two draws
+        assert sampling_runs[trials][1] == ffts == 12 + (trials + 1) // 2
+
+
 class TestReportSerialization:
     def test_round_trip(self, verify_6007, tmp_path):
         path = tmp_path / "report.json"

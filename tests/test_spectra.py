@@ -264,7 +264,76 @@ class TestGaussFlatness:
                 assert float(np.abs(mags - n**-0.5).max()) < 1e-9
 
 
+def _fft_modulated_max(m, intervals, quad):
+    """max over r of |coefficient r| of I(x) w^(a x^2 + b x + c), by FFT, per interval.
+
+    The transform route the window sums replaced: the indicator of each
+    interval times the phase, one FFT per row.
+    """
+    a, b, c = quad
+    phase = k.quadratic_phase_signal(m, a, b, c).values
+    rows = np.zeros((len(intervals), m.n), dtype=np.float64)
+    for row, interval in zip(rows, intervals):
+        row[interval.residues(m)] = 1.0
+    return np.abs(np.fft.fft(rows * phase, axis=1) / m.n).max(axis=1)
+
+
+def _window_max(m, intervals, quad):
+    return np.array(
+        [k.modulated_interval_uniformity_check(m, iv, quad)[0] for iv in intervals]
+    )
+
+
 class TestModulatedInterval:
+    @pytest.mark.parametrize("n", [5, 7, 11])
+    def test_exhaustive_small_primes(self, n):
+        # every a != 0, b, c, start and length
+        m = k.make_modulus(n)
+        intervals = [k.IntervalZn(s, l) for s in range(n) for l in range(1, n + 1)]
+        for a in range(1, n):
+            for b in range(n):
+                for c in range(n):
+                    quad = (a, b, c)
+                    np.testing.assert_allclose(
+                        _window_max(m, intervals, quad),
+                        _fft_modulated_max(m, intervals, quad),
+                        rtol=1e-12,
+                        atol=0,
+                    )
+
+    @pytest.mark.parametrize("n", [1009, 10007, 40009])
+    def test_sampled_against_fft(self, n):
+        m = k.make_modulus(n)
+        rng = k.RngStream(n)
+        for _ in range(6):
+            quad = (
+                1 + rng.next_word() % (n - 1),
+                rng.next_word() % n,
+                rng.next_word() % n,
+            )
+            start = rng.next_word() % n
+            intervals = [
+                k.IntervalZn(start, 1 + rng.next_word() % n),
+                k.IntervalZn(start, 1),
+                k.IntervalZn(start, n - 1),
+                k.IntervalZn(start, n),
+                k.IntervalZn(n - 1, 2),  # wraps across 0
+                k.IntervalZn(n - 3, n // 2),
+                k.IntervalZn(0, 1 + rng.next_word() % n),
+            ]
+            np.testing.assert_allclose(
+                _window_max(m, intervals, quad),
+                _fft_modulated_max(m, intervals, quad),
+                rtol=1e-12,
+                atol=0,
+            )
+
+    def test_unfit_interval_rejected(self):
+        m = k.make_modulus(101)
+        for interval in (k.IntervalZn(0, 102), k.IntervalZn(101, 1), k.IntervalZn(500, 3)):
+            with pytest.raises(ValueError):
+                k.modulated_interval_uniformity_check(m, interval, (1, 0, 0))
+
     def test_full_interval_reduces_to_phase(self):
         n = 10007
         m = k.make_modulus(n)
@@ -290,6 +359,34 @@ class TestModulatedInterval:
             k.modulated_interval_uniformity_check(m, k.IntervalZn(0, 1001), (0, 1, 0))
         with pytest.raises(DegenerateQuadraticError):
             k.modulated_interval_uniformity_check(m, k.IntervalZn(0, 5), (10007, 1, 0))
+
+
+class TestMaxCoefficientsOfParts:
+    @pytest.mark.parametrize("n", [5, 7, 101, 1009, 6007])
+    def test_matches_two_transforms(self, n):
+        m = k.make_modulus(n)
+        x = _random_signal(m, 2 * n)
+        y = _random_signal(m, 2 * n + 1, scale=0.5)
+        got = k.max_coefficients_of_parts(x.values + 1j * y.values)
+        want = (k.max_coefficient(k.dft(x)), k.max_coefficient(k.dft(y)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_zero_imaginary_part(self):
+        m = k.make_modulus(1009)
+        x = _random_signal(m, 3)
+        top, rest = k.max_coefficients_of_parts(x.values.astype(np.complex128))
+        assert top == pytest.approx(k.max_coefficient(k.dft(x)), rel=1e-12)
+        assert rest <= 1e-12 * top  # rounding only: Z_-r is conj Z_r up to a few ulps
+
+    def test_frequency_zero_and_top_frequency(self):
+        # the maxima sit at r = 0 for Re z and at r = (n - 1) / 2 for Im z
+        n = 11
+        xs = np.arange(n)
+        x = np.full(n, 3.0)
+        y = np.cos(2 * np.pi * 5 * xs / n)
+        top, rest = k.max_coefficients_of_parts(x + 1j * y)
+        assert top == pytest.approx(3.0, rel=1e-12)
+        assert rest == pytest.approx(0.5, rel=1e-12)
 
 
 class TestCsvExport:
