@@ -10,15 +10,20 @@ inputs alike.  With j non-constant inputs left and n prime, the patterns of
 complexity 1 have closed forms: j <= 2 gives the product of the constants
 and of the inputs' sums, because (x + a d, x + b d) runs over Z_n^2 once
 when a != b; j = 3 is one cyclic convolution of two dilated inputs,
-gathered against the third (``_three_input_sum``: a big-integer multiply on
-exact inputs, an FFT at a 5-smooth length >= 2n on float inputs).
+gathered against the third (``_three_input_sum``), by one real FFT at a
+5-smooth length >= 2n.  On exact inputs the FFT's result is rounded to
+integers only when an error bound (``_fft_rounding_bound``, which states
+its source, its margin and the range of n it admits) and the rounding slack
+itself are both below 1/4, else the convolution is one big-integer multiply
+(``_cyclic_convolution``).
 
 With j >= 4, an input that is mostly one nonzero value is first split at
 it, when that pays.  For any value m, sum prod a_i = sum prod (a_r -> m) +
 sum prod (a_r -> a_r - m): the first term has one more constant input and
 re-enters the route tree (with k = 4, the j = 3 convolution), and the
 second replaces a_r by its deviation from m, nonzero only off m, and takes
-one of the two j >= 4 kernels below without being split again.  The input
+one of the two j >= 4 kernels below without being split again, so the j = 3
+convolution only sees inputs in [-64, 64], as its bound assumes.  The input
 split is the one with the fewest points o_r off its mode m_r (its most
 frequent nonzero value), and only when (k - 1) o_r n is below the cost of
 the unsplit route.  Only inputs with support above n / 2 are searched for
@@ -334,6 +339,53 @@ def _smooth_length(m: int) -> int:
             return length
 
 
+def _fft_convolution(f: np.ndarray, h: np.ndarray, length: int) -> np.ndarray:
+    """(f * h)(t) = sum_p f(p) h((t - p) mod n) in float64, by one real FFT at ``length`` >= 2n.
+
+    The inputs are zero-padded to ``length``, so the transform gives their
+    linear convolution lin, which folds to lin[:n] + lin[n:2n].  At the prime
+    length n numpy takes its Bluestein path, about 5x slower at n = 10007, so
+    ``length`` is ``_smooth_length(2 n)``.  The spectra are multiplied and the
+    fold added in place, so the only transients are the two spectra.
+    """
+    n = f.shape[0]
+    spectrum = np.fft.rfft(f, length)
+    spectrum *= np.fft.rfft(h, length)
+    lin = np.fft.irfft(spectrum, length)
+    lin[:n] += lin[n : 2 * n]
+    return lin[:n]
+
+
+def _fft_rounding_bound(norm_product: float, length: int) -> float:
+    """A bound on every entry's error in ``_fft_convolution`` when ||f||_2 ||h||_2 = norm_product.
+
+    Percival (Rapid multiplication modulo the sum and difference of highly
+    composite numbers, Math. Comp. 72, 2003, Theorem 5.1) proves that a
+    radix-2 FFT convolution of length 2^m in binary64 (eps = 2^-53, roots of
+    unity within beta of their values) errs at each entry by at most
+    E = ||f|| ||h|| ((1 + eps)^(3m) (1 + eps sqrt 5)^(3m + 1) (1 + beta)^(3m) - 1).
+    Here m = ceil(log2(length)) and beta = eps, so the first and last
+    factors make (1 + eps)^(6m).  numpy's pocketfft is a mixed-radix real
+    transform (radices 2, 3 and 5 here, with other twiddles), which that
+    theorem does not cover.  For it E is taken 4 times over: an empirical
+    margin, not a proof.  Its errors measured at most 0.07 E, fold included,
+    on all-64, alternating +/-64, random [-64, 64] and random 0/1 inputs at
+    n = 5 to 1000003, so exact j = 3 sums rest on that margin.  The fold adds
+    two linear entries, each within 4E of an integer, and rounds their sum,
+    which is at most ||f|| ||h|| + 8E, by at most eps (||f|| ||h|| + 8E) < 4E;
+    so the bound is 3 * 4E.
+
+    The bound is below 1/4 for inputs with values in [-64, 64] up to
+    n = 10^8, and for 0/1 inputs (||f|| ||h|| <= n) up to n = 2^31 - 1; for
+    all-64 inputs at n = 2^31 - 1 it is above 1/4, so there the big-integer
+    multiply runs.
+    """
+    m = math.ceil(math.log2(length))
+    eps = 2.0**-53
+    growth = math.expm1(6 * m * math.log1p(eps) + (3 * m + 1) * math.log1p(eps * math.sqrt(5)))
+    return 3 * 4 * norm_product * growth
+
+
 def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     """Sum over all (x, d) of f(x + a d) g(x + b d) h(x + c d), free = [(a, f), (b, g), (c, h)].
 
@@ -341,10 +393,15 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     = (c - a)(x + b d), and (x, d) -> (x + a d, x + c d) is a bijection of
     Z_n^2, so with f'(v) = f(v / (c - b)) and h'(v) = h(v / (b - a)) the sum
     is sum_y g(y) (f' * h')((c - a) y), where * is the cyclic convolution.
-    Integer inputs convolve by one big-integer multiply and gather in Python
-    integers; float inputs convolve by one real FFT of the zero-padded inputs
-    at ``_smooth_length(2 n)``, whose linear result lin folds to
-    lin[:n] + lin[n:2n], and gather with fsum.
+
+    Both kinds of input convolve by ``_fft_convolution``.  Float inputs gather
+    with fsum.  Integer inputs round the convolution to the nearest integers
+    and keep it only when (a) ``_fft_rounding_bound`` of ||f'|| ||h'|| and the
+    transform length is below 1/4, so every entry rounds to its exact value,
+    and (b) every entry lies within 1/4 of its rounding, a check of the result
+    itself.  Otherwise (the range the bound admits is stated with it) they
+    convolve by the big-integer multiply ``_cyclic_convolution``.  Either way
+    the gather sums in Python integers.
     """
     (a, f), (b, g), (c, h) = free
     n = f.shape[0]
@@ -352,15 +409,21 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     f_dil = f[z * pow(c - b, -1, n) % n]
     h_dil = h[z * pow(b - a, -1, n) % n]
     at = z * (c - a) % n
-    if f.dtype == np.int64:
-        conv = _cyclic_convolution(f_dil, h_dil)
-        return sum(map(operator.mul, g.tolist(), conv[at].tolist()))
-    # One linear convolution at a 5-smooth length >= 2n, folded mod n: at the
-    # prime length n numpy takes its Bluestein path, about 5x slower at n = 10007.
     length = _smooth_length(2 * n)
-    lin = np.fft.irfft(np.fft.rfft(f_dil, length) * np.fft.rfft(h_dil, length), length)
-    conv = lin[:n] + lin[n : 2 * n]
-    return math.fsum((g * conv[at]).tolist())
+    if f.dtype != np.int64:
+        return math.fsum((g * _fft_convolution(f_dil, h_dil, length)[at]).tolist())
+    conv = None
+    # |values| <= 64 and n < 2^31, so each squared norm is below 2^43: exact in int64
+    norm_product = math.sqrt(float(f_dil @ f_dil) * float(h_dil @ h_dil))
+    if _fft_rounding_bound(norm_product, length) < 0.25:
+        approx = _fft_convolution(f_dil, h_dil, length)
+        rounded = np.rint(approx)
+        approx -= rounded
+        if np.abs(approx, out=approx).max() <= 0.25:
+            conv = rounded.astype(np.int64)
+    if conv is None:
+        conv = _cyclic_convolution(f_dil, h_dil)
+    return sum(map(operator.mul, g.tolist(), conv[at].tolist()))
 
 
 def _slice_sum(arrays: list[np.ndarray]) -> int | float:
@@ -397,7 +460,8 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
 
     A mode split's deviation a_r - m lies in [-128, 128] on exact inputs, so
     its term goes straight to a j >= 4 kernel: it is never split again nor
-    handed to the j = 3 convolution, which packs values in [-64, 64].
+    handed to the j = 3 convolution, whose squared norms (exact in int64) and
+    big-integer fallback (byte slots) assume values in [-64, 64].
     ``modes`` maps the ``id`` of each input searched for its mode to
     (mode, count).  Every searched array is one of the top-level caller's
     inputs, alive for the whole call, so each distinct input is searched once.
@@ -443,8 +507,10 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     are factored out first; with j non-constant inputs left:
 
     - j <= 2 is answered in closed form;
-    - j = 3 by one cyclic convolution (a big-integer multiply on exact
-      inputs, an FFT on float inputs);
+    - j = 3 by one cyclic convolution through the real FFT; on exact
+      inputs it is rounded to integers when ``_fft_rounding_bound`` and the
+      rounding slack are both below 1/4, and is a big-integer multiply
+      otherwise;
     - j >= 4 first splits the input r with the fewest points o_r off its
       nonzero mode m_r, searched only on inputs with support above n / 2,
       when (k - 1) o_r n is below the cost of the route below: the term with
@@ -460,7 +526,9 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
 
     Every choice depends on the values' sizes, modes and n alone, and is the
     same for exact and float inputs; only the reduction (Python integers or
-    compensated summation) and the j = 3 convolution differ.
+    compensated summation) and the j = 3 convolution's rounding differ.  That
+    rounding depends on the exact inputs' values and n alone: their norms
+    and the FFT's result.
     """
     k = len(signals)
     if k not in (3, 4, 5):

@@ -7,6 +7,7 @@ input error (unreadable or unwritable files included).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -23,6 +24,13 @@ from .report import (
 )
 from .search import min_ap4_pm1, min_ap4_ternary, search_grid_designs
 from .spectra import dft, save_spectrum_csv
+
+# Importing numpy and the package leaves about 4,000 objects in the collector's
+# young generations, all alive until the process exits; its next generation-1
+# pass, due within a few hundred allocations, would scan them all (1-2 ms,
+# inside the first command).  Freezing them keeps every later pass to the
+# objects made since.
+gc.freeze()
 
 
 def _build_parser() -> argparse.ArgumentParser:

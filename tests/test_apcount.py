@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ap4kit import apcount
 from ap4kit.apcount import (
     _blocks,
     _cyclic_convolution,
+    _fft_rounding_bound,
     _mirrored,
     _per_d_partials,
     _smooth_length,
@@ -53,6 +55,15 @@ def _brute_partials(arrays):
             total += prod
         partials.append(total)
     return partials
+
+
+def _kronecker_three_input_sum(free):
+    """The j = 3 sum with the big-integer convolution, gathered in Python integers."""
+    (a, f), (b, g), (c, h) = free
+    n = f.shape[0]
+    z = np.arange(n)
+    conv = _cyclic_convolution(f[z * pow(c - b, -1, n) % n], h[z * pow(b - a, -1, n) % n])
+    return sum(map(operator.mul, g.tolist(), conv[z * (c - a) % n].tolist()))
 
 
 def _random_int_signal(n, seed, lo=-2, hi=2):
@@ -403,12 +414,12 @@ class TestThreeInputFloat:
 
     @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009])
     def test_matches_exact(self, n):
-        # integer values as floats, so the exact big-integer path is the oracle;
+        # integer values as floats, so the big-integer convolution is the oracle;
         # every position triple a < b < c < 5
         rng = np.random.default_rng(n)
         for positions in itertools.combinations(range(5), 3):
             ints = [rng.integers(-64, 65, n) for _ in positions]
-            want = _three_input_sum(list(zip(positions, ints)))
+            want = _kronecker_three_input_sum(list(zip(positions, ints)))
             got = _three_input_sum([(p, v.astype(np.float64)) for p, v in zip(positions, ints)])
             assert type(got) is float
             assert abs(got - want) <= 1e-12 * n * n * 64**3
@@ -423,6 +434,117 @@ class TestThreeInputFloat:
             want = math.fsum(_brute_partials([a.tolist() for a in arrays]))
             got = _three_input_sum([(p, arrays[p]) for p in positions])
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of apcount's function ``name``, which still runs."""
+    calls = []
+    original = getattr(apcount, name)
+
+    def spy(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(f"ap4kit.apcount.{name}", spy)
+    return calls
+
+
+class TestThreeInputExact:
+    """The exact j = 3 convolution: the real FFT rounded under Percival's bound, else the
+    big-integer multiply."""
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009, 10007])
+    def test_matches_kronecker(self, monkeypatch, n):
+        kronecker = _spy(monkeypatch, "_cyclic_convolution")
+        rng = np.random.default_rng(n)
+        extremes = [np.full(n, v, dtype=np.int64) for v in (64, -64)]
+        for positions in itertools.combinations(range(5), 3):
+            cases = [[rng.integers(-64, 65, n) for _ in positions]]
+            cases += [list(ints) for ints in itertools.product(extremes, repeat=3)]
+            for ints in cases:
+                free = list(zip(positions, ints))
+                want = _kronecker_three_input_sum(free)
+                del kronecker[:]
+                got = _three_input_sum(free)
+                assert type(got) is int and got == want
+                assert kronecker == []
+
+    def test_indicators_match_kronecker(self, monkeypatch):
+        n = 20011
+        kronecker = _spy(monkeypatch, "_cyclic_convolution")
+        rng = np.random.default_rng(3)
+        for positions in itertools.combinations(range(5), 3):
+            free = [(p, rng.integers(0, 2, n)) for p in positions]
+            want = _kronecker_three_input_sum(free)
+            del kronecker[:]
+            assert _three_input_sum(free) == want
+            assert kronecker == []
+
+    def test_sets_workload_takes_fft(self, monkeypatch):
+        # the quadratic level set's 3-AP mean and the sampled set A's exact count
+        n = 20011
+        m = k.make_modulus(n)
+        a = k.sample_indicator(k.build_probability_signal(m), k.RngStream(42))
+        kronecker = _spy(monkeypatch, "_cyclic_convolution")
+        fft = _spy(monkeypatch, "_fft_convolution")
+        report = k.run_demo_quadratic(n, 0.05)
+        assert report.passed()
+        assert k.apk_mean_zn([a] * 3).exact_numerator > 0
+        assert fft == [n, n] and kronecker == []
+
+    @staticmethod
+    def _numerator_and_routes(monkeypatch, n):
+        rng = np.random.default_rng(n)
+        signal = k.ZnSignal(k.make_modulus(n), rng.integers(-64, 65, n))
+        kronecker = _spy(monkeypatch, "_cyclic_convolution")
+        return k.apk_mean_zn([signal] * 3).exact_numerator, kronecker
+
+    @pytest.mark.parametrize("n", [7, 1009])
+    def test_bound_over_threshold_falls_back(self, monkeypatch, n):
+        want, kronecker = self._numerator_and_routes(monkeypatch, n)
+        assert kronecker == []
+        monkeypatch.setattr("ap4kit.apcount._fft_rounding_bound", lambda norm_product, length: 0.5)
+        got, kronecker = self._numerator_and_routes(monkeypatch, n)
+        assert got == want and kronecker == [n]
+
+    @pytest.mark.parametrize("n", [7, 1009])
+    def test_rounding_slack_falls_back(self, monkeypatch, n):
+        want, kronecker = self._numerator_and_routes(monkeypatch, n)
+        irfft = np.fft.irfft
+
+        def shifted(*args, **kwargs):
+            lin = irfft(*args, **kwargs)
+            lin[1] += 0.3  # still rounds to the exact entry, but 0.3 > 1/4 away from it
+            return lin
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        got, kronecker = self._numerator_and_routes(monkeypatch, n)
+        assert got == want and kronecker == [n]
+
+    def test_bound_pinned(self):
+        # m = ceil(log2(1024)) = 10: 3 * 4 * ((1 + eps)^60 (1 + eps sqrt 5)^31 - 1)
+        assert math.isclose(_fft_rounding_bound(1.0, 1024), 1.7228632827381107e-13, rel_tol=1e-12)
+        first_order = 12 * (60 + 31 * math.sqrt(5)) * 2.0**-53
+        assert math.isclose(_fft_rounding_bound(1.0, 1024), first_order, rel_tol=1e-12)
+        assert _fft_rounding_bound(1.0, 1000) == _fft_rounding_bound(1.0, 1024)
+
+    def test_bound_monotone(self):
+        norms = [1.0, 7.5, 1e3, 1e6, 1e9, 4096.0 * 2**31]
+        lengths = [10, 15, 24, 216, 1024, 2025, 20250, 40500, 2**20, 2**32, 2**33]
+        grid = [[_fft_rounding_bound(v, length) for length in lengths] for v in norms]
+        for row in grid:
+            assert row == sorted(row)
+        for column in zip(*grid):
+            assert list(column) == sorted(column) and len(set(column)) == len(column)
+
+    def test_bound_admits_the_stated_range(self):
+        # the range in _fft_rounding_bound's docstring: all-+/-64 inputs have
+        # ||f'|| ||h'|| = 4096 n, admitted up to n = 10^8 and left to the big-integer
+        # multiply at 2^31 - 1; 0/1 inputs have at most n, admitted up to 2^31 - 1
+        for n in (10**6, 10**8, 2**31 - 1):
+            length = _smooth_length(2 * n)
+            assert (_fft_rounding_bound(4096.0 * n, length) < 0.25) is (n < 2**31 - 1)
+            assert _fft_rounding_bound(float(n), length) < 0.25
 
 
 class TestSupportPairSum:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -342,6 +344,17 @@ class TestStageCrash:
 
 
 class TestCli:
+    def test_import_freezes_long_lived_objects(self):
+        # a fresh interpreter: the objects made by importing numpy and the package
+        # are frozen, so the young generations start (nearly) empty
+        src = os.path.dirname(os.path.dirname(k.__file__))
+        code = ("import gc, ap4kit.cli; "
+                "print(gc.get_freeze_count(), len(gc.get_objects(0)) + len(gc.get_objects(1)))")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        frozen, young = map(int, out.split())
+        assert frozen > 10000 and young < 100
+
     def test_verify_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(["verify", "--n", "6007", "--seed", "1", "--trials", "2", "--out", str(out)])
