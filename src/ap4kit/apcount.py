@@ -38,8 +38,7 @@ its sparsest input, the pivot, at a cost of (k - 1) min(s) n contiguous
 products, half that on a mirror list (inputs that read the same reversed,
 such as [s] * k), where it computes only the steps d <= (n - 1) / 2.  Rows
 at the pivot's mode (1 on every row of a 0/1 input) are summed unscaled
-and scaled by the mode once, so only the other rows pay a scaling pass.  It
-also serves the phase-modulated means, and no other module calls it.  The
+and scaled by the mode once, so only the other rows pay a scaling pass.  The
 support-pair sum ``_support_pair_sum`` enumerates the supports of the
 adjacent pair (p, p + 1) with the least product s_p s_{p+1} and reads every
 other input by one gather, at a cost of at most (k - 2) s_p s_{p+1}
@@ -55,20 +54,23 @@ modulated signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and
 on level sets of density below about 0.15, while dense signals stay on the
 slice kernel.  The rule charges every pair, skipped or not, so blocks do not
 move any input to another route.  ``ap4_sum_z`` embeds its finitely
-supported signal in Z_p and takes the same routes.
+supported signal in Z_p and takes the same routes, and the phase-modulated
+means ``modulated_ap4_mean`` hand their complex phase-weighted copies to the
+same choice of j >= 4 kernel (the j <= 3 routes and the mode split take
+real inputs only).
 
-Every reduction runs in fixed order: Python integers when every input is
-integer-valued, so exact numerators stay exact, and compensated summation
-otherwise.  Every d-partial and every support-pair row is built in fixed
-order (support points in increasing order, the slice kernel's mode rows
-before its other rows), which makes results bit-stable run to run.
+Every sum ends in one reduction, ``_reduce``: Python integers on int64
+values, so exact numerators stay exact, and compensated summation (of the
+real and imaginary parts apart) otherwise.  Every d-partial and every
+support-pair row is built in fixed order (support points in increasing
+order, the slice kernel's mode rows before its other rows), which makes
+results bit-stable run to run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +121,20 @@ def _mode(values: np.ndarray) -> tuple[int | float | complex, int]:
     distinct, counts = np.unique(values, return_counts=True)
     top = int(np.argmax(counts))
     return distinct[top].item(), int(counts[top])
+
+
+def _reduce(values: np.ndarray) -> int | float | complex:
+    """The sum of int64, float64 or complex128 values: exact in Python integers, else by fsum.
+
+    fsum rounds the exact sum once, so a float or complex sum does not depend
+    on the order of the values; complex values are summed as their real and
+    imaginary parts apart.
+    """
+    if values.dtype == np.int64:
+        return sum(values.tolist())
+    if values.dtype == np.complex128:
+        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    return math.fsum(values.tolist())
 
 
 def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
@@ -215,8 +231,8 @@ def _blocks(support: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], cuts, [support.size]))
 
 
-def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
-    """Sum over all (x, d) of prod_r arrays[r][(x + r*d) mod n], for int or real arrays.
+def _support_pair_sum(arrays: list[np.ndarray]) -> int | float | complex:
+    """Sum over all (x, d) of prod_r arrays[r][(x + r*d) mod n], for int, real or complex arrays.
 
     k must be at least 4.  The sum runs over the supports of the adjacent
     pair (p, p + 1) with the least product of support sizes: (x, d) -> (y, z)
@@ -240,15 +256,15 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
     with every input in [-64, 64] but one in [-128, 128] (a mode split's
     deviation): an entry of prod @ v is at most n * 128 * 64^(k-2) <= 2^56
     and its product with u at most n * 128 * 64^(k-1) < 2^62, and the terms
-    are summed in Python integers; real inputs are summed with fsum.
+    are reduced once by ``_reduce``.
     """
     n = arrays[0].shape[0]
-    total = sum if np.result_type(*arrays) == np.int64 else math.fsum
+    terms = [np.zeros(0, dtype=np.result_type(*arrays))]  # no kept pair: 0 of the result type
     supports = [np.flatnonzero(a) for a in arrays]
     p = _sparsest_pair([s.size for s in supports])
     ys, zs = supports[p], supports[p + 1]
     if not (ys.size and zs.size):
-        return total([])
+        return _reduce(terms[0])
     u, v = arrays[p][ys], arrays[p + 1][zs]
     y_bounds, z_bounds = _blocks(ys), _blocks(zs)
     y_first, y_last = ys[y_bounds[:-1]], ys[y_bounds[1:] - 1]
@@ -265,7 +281,6 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
             np.cumsum(a != 0, out=prefix[1:])
             windows.append((e, prefix, supports[r].size))
     block_rows = max(1, _PAIR_CHUNK // z_first.size)
-    terms = []
     for top in range(0, y_first.size, block_rows):
         first, last = y_first[top : top + block_rows, None], y_last[top : top + block_rows, None]
         keep = np.ones((first.shape[0], z_first.size), dtype=bool)
@@ -293,8 +308,8 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float:
                 prod = tiled.take(row[start:stop, None] + col)
                 for tiled, row, col in rest:
                     prod *= tiled.take(row[start:stop, None] + col)
-                terms.extend((u[start:stop] * (prod @ kept_v)).tolist())
-    return total(terms)
+                terms.append(u[start:stop] * (prod @ kept_v))
+    return _reduce(np.concatenate(terms))
 
 
 def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -394,14 +409,14 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     Z_n^2, so with f'(v) = f(v / (c - b)) and h'(v) = h(v / (b - a)) the sum
     is sum_y g(y) (f' * h')((c - a) y), where * is the cyclic convolution.
 
-    Both kinds of input convolve by ``_fft_convolution``.  Float inputs gather
-    with fsum.  Integer inputs round the convolution to the nearest integers
-    and keep it only when (a) ``_fft_rounding_bound`` of ||f'|| ||h'|| and the
-    transform length is below 1/4, so every entry rounds to its exact value,
-    and (b) every entry lies within 1/4 of its rounding, a check of the result
-    itself.  Otherwise (the range the bound admits is stated with it) they
-    convolve by the big-integer multiply ``_cyclic_convolution``.  Either way
-    the gather sums in Python integers.
+    Both kinds of input convolve by ``_fft_convolution``.  Integer inputs
+    round the convolution to the nearest integers and keep it only when (a)
+    ``_fft_rounding_bound`` of ||f'|| ||h'|| and the transform length is below
+    1/4, so every entry rounds to its exact value, and (b) every entry lies
+    within 1/4 of its rounding, a check of the result itself.  Otherwise (the
+    range the bound admits is stated with it) they convolve by the big-integer
+    multiply ``_cyclic_convolution``.  Both kinds gather once, g times the
+    convolution at (c - a) y, and reduce the products by ``_reduce``.
     """
     (a, f), (b, g), (c, h) = free
     n = f.shape[0]
@@ -411,30 +426,32 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     at = z * (c - a) % n
     length = _smooth_length(2 * n)
     if f.dtype != np.int64:
-        return math.fsum((g * _fft_convolution(f_dil, h_dil, length)[at]).tolist())
-    conv = None
-    # |values| <= 64 and n < 2^31, so each squared norm is below 2^43: exact in int64
-    norm_product = math.sqrt(float(f_dil @ f_dil) * float(h_dil @ h_dil))
-    if _fft_rounding_bound(norm_product, length) < 0.25:
-        approx = _fft_convolution(f_dil, h_dil, length)
-        rounded = np.rint(approx)
-        approx -= rounded
-        if np.abs(approx, out=approx).max() <= 0.25:
-            conv = rounded.astype(np.int64)
-    if conv is None:
-        conv = _cyclic_convolution(f_dil, h_dil)
-    return sum(map(operator.mul, g.tolist(), conv[at].tolist()))
+        conv = _fft_convolution(f_dil, h_dil, length)
+    else:
+        conv = None
+        # |values| <= 64 and n < 2^31, so each squared norm is below 2^43: exact in int64
+        norm_product = math.sqrt(float(f_dil @ f_dil) * float(h_dil @ h_dil))
+        if _fft_rounding_bound(norm_product, length) < 0.25:
+            approx = _fft_convolution(f_dil, h_dil, length)
+            rounded = np.rint(approx)
+            approx -= rounded
+            if np.abs(approx, out=approx).max() <= 0.25:
+                conv = rounded.astype(np.int64)
+        if conv is None:
+            conv = _cyclic_convolution(f_dil, h_dil)
+    # exact: |g| <= 64 and |conv| <= ||f'|| ||h'|| < 2^43 (Cauchy-Schwarz), so
+    # every int64 product is below 2^49
+    return _reduce(g * conv[at])
 
 
-def _slice_sum(arrays: list[np.ndarray]) -> int | float:
+def _slice_sum(arrays: list[np.ndarray]) -> int | float | complex:
     """The slice kernel's partials summed over d.
 
     An exact per-d sum is at most n * 128 * 64^4 < 2^62 for n < 2^31 (one
     input may be a split's deviation, in [-128, 128]), so int64 holds it; the
-    sum over d can pass 2^63, so it is reduced in Python integers.
+    sum over d can pass 2^63, so ``_reduce`` sums it in Python integers.
     """
-    partials = _per_d_partials(arrays)
-    return (sum if partials.dtype == np.int64 else math.fsum)(partials.tolist())
+    return _reduce(_per_d_partials(arrays))
 
 
 def _kernel_route(arrays: list[np.ndarray], sizes: list[int]):
@@ -467,7 +484,6 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
     inputs, alive for the whole call, so each distinct input is searched once.
     """
     n, k = arrays[0].shape[0], len(arrays)
-    total = sum if np.result_type(*arrays) == np.int64 else math.fsum
     constants = []
     free = []  # (position, values) of the non-constant inputs
     for i, a in enumerate(arrays):
@@ -477,7 +493,7 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
             free.append((i, a))
     scale = math.prod(constants)
     if len(free) <= 2:
-        return scale * n ** (2 - len(free)) * math.prod(total(a.tolist()) for _, a in free)
+        return scale * n ** (2 - len(free)) * math.prod(_reduce(a) for _, a in free)
     if len(free) == 3:
         return scale * _three_input_sum(free)
     sizes = [np.count_nonzero(a) for a in arrays]
@@ -554,9 +570,11 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     The phase splits over the first three positions as w^(p x^2 + q (x+d)^2 +
     r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
     invertible since n is odd), so the mean is a plain 4-AP mean of
-    phase-weighted copies of s, taken by the shared per-d kernel.  The
-    weighted copies keep the support of s, so the kernel's cost is
-    |supp(s)| * n products.
+    phase-weighted copies of s.  The copies keep the support of s, and they
+    take the j >= 4 kernel that ``_kernel_route`` picks from its size: on the
+    sparse interval signal F the support-pair sum, which skips the run pairs
+    that hold no progression, and on a dense signal the slice kernel, at
+    |supp(s)| * n complex products.
     """
     if s.is_complex:
         raise ValueError("expected a real signal")
@@ -568,10 +586,9 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     r = (w - v * half) * half % n
     p = (u - q - r) % n
     vals = s.values.astype(np.float64)
-    factors = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)]
-    partials = _per_d_partials(factors + [vals]).tolist()
-    total = complex(math.fsum(z.real for z in partials), math.fsum(z.imag for z in partials))
-    return total / (n * n)
+    arrays = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)] + [vals]
+    _, route = _kernel_route(arrays, [np.count_nonzero(a) for a in arrays])
+    return route(arrays) / (n * n)
 
 
 def linear_form_mean_fourier(b: ZnSignal) -> float:
@@ -586,4 +603,4 @@ def linear_form_mean_fourier(b: ZnSignal) -> float:
     coeffs = dft(b).coeffs
     mags2 = (coeffs * coeffs.conj()).real
     idx3 = (3 * np.arange(n, dtype=np.int64)) % n
-    return math.fsum((mags2 * mags2[idx3]).tolist())
+    return _reduce(mags2 * mags2[idx3])

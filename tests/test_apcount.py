@@ -552,7 +552,7 @@ class TestSupportPairSum:
 
     @pytest.mark.parametrize("n", [5, 7, 31])
     @pytest.mark.parametrize("count", [4, 5])
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
     def test_matches_brute_force(self, n, count, dtype):
         rng = np.random.default_rng(10 * n + count)
 
@@ -561,8 +561,10 @@ class TestSupportPairSum:
             at = rng.choice(n, nonzeros, replace=False)
             magnitudes = np.full(nonzeros, 64) if wide else rng.integers(1, 4, nonzeros)
             vals[at] = magnitudes * rng.choice((-1, 1), nonzeros)
-            if dtype == np.float64:
+            if dtype != np.int64:
                 vals[at] *= rng.uniform(0.5, 1.0, nonzeros)
+            if dtype == np.complex128:
+                vals[at] *= np.exp(2j * np.pi * rng.random(nonzeros))
             return vals
 
         sparse, denser = max(2, n // 4), n // 2 + 2
@@ -596,13 +598,16 @@ def _runs(rng, n, count):
 
 
 def _values_on(rng, mask, dtype, wide):
-    """Values on a support: +/-64 with ``wide``, else +/-(1..3), scaled on floats."""
+    """Values on a support: +/-64 with ``wide``, else +/-(1..3), scaled on floats
+    and complex values, which also get random unit phases."""
     size = int(mask.sum())
     vals = np.zeros(mask.size, dtype=dtype)
     magnitudes = np.full(size, 64) if wide else rng.integers(1, 4, size)
     vals[mask] = magnitudes * rng.choice((-1, 1), size)
-    if dtype == np.float64:
+    if dtype != np.int64:
         vals[mask] *= rng.uniform(0.5, 1.0, size)
+    if dtype == np.complex128:
+        vals[mask] *= np.exp(2j * np.pi * rng.random(size))
     return vals
 
 
@@ -611,7 +616,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n", [101, 211])
     @pytest.mark.parametrize("count", [4, 5])
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
     @pytest.mark.parametrize("wide", [False, True])
     def test_runs_match_brute_force(self, n, count, dtype, wide):
         rng = np.random.default_rng(n + 10 * count + wide)
@@ -631,7 +636,7 @@ class TestBlocks:
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
     def test_every_pair_skipped(self, dtype):
         # with y, z in [0, 4), input 2 is read at 2z - y in [-3, 6], where it is zero
         n = 101
@@ -641,7 +646,7 @@ class TestBlocks:
         assert sum(_brute_partials([a.tolist() for a in arrays])) == 0
         got = _support_pair_sum(arrays)
         assert got == 0
-        assert type(got) is (int if dtype == np.int64 else float)
+        assert type(got) is {np.int64: int, np.float64: float, np.complex128: complex}[dtype]
 
     def test_scattered_support_is_one_block(self):
         # a level set has runs of about one residue: one block, every pair kept
@@ -664,7 +669,7 @@ class TestBlocks:
 
 
 class TestRouting:
-    """Which j >= 4 route apk_mean_zn takes, with the other one patched to raise."""
+    """Which j >= 4 route a progression sum takes, with the other one patched to raise."""
 
     @pytest.mark.parametrize("build", [k.build_interval_signal, k.build_modulated_signal])
     def test_sparse_signals_take_support_pairs(self, monkeypatch, build):
@@ -693,6 +698,29 @@ class TestRouting:
         oracle = _support_pair_sum([s.values] * 4)
         monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
+
+    def test_modulated_means_take_support_pairs(self, monkeypatch):
+        # the phase-weighted copies keep F's sparse support, so they take the pair route
+        f = k.build_interval_signal(k.make_modulus(10007))
+        patterns = [(0, 0, 4), (0, 0, 12), (1, 2, 3)]
+        with monkeypatch.context() as slice_only:
+            slice_only.setattr(
+                "ap4kit.apcount._kernel_route", lambda arrays, sizes: (0, apcount._slice_sum)
+            )
+            oracles = [k.modulated_ap4_mean(f, uvw) for uvw in patterns]
+        monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
+        for uvw, oracle in zip(patterns, oracles):
+            got = k.modulated_ap4_mean(f, uvw)
+            assert type(got) is complex
+            assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+    def test_dense_modulated_mean_takes_slice_kernel(self, monkeypatch):
+        n = 1009
+        vals = np.random.default_rng(n).uniform(0.5, 1.0, n)
+        s = k.ZnSignal(k.make_modulus(n), vals)
+        monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
+        got = k.modulated_ap4_mean(s, (1, 2, 3))
+        assert type(got) is complex
 
 
 def _majority(rng, n, mode, off, dtype):

@@ -553,3 +553,14 @@ class TestExpansionIdentityAt1009:
             acc += k.modulated_ap4_mean(f, (pc.u, pc.v, pc.w))
         assert abs(acc.imag) < 1e-9
         assert abs(acc.real - eg) < 1e-6
+
+
+class TestExpansionIdentityAt10007:
+    def test_256_term_regrouping(self, f10007, g10007):
+        # the 256 modulated means of F, on the support-pair route, sum to E[G^4]
+        eg = k.apk_mean_zn([g10007] * 4).value
+        acc = sum(
+            k.modulated_ap4_mean(f10007, (pc.u, pc.v, pc.w))
+            for pc in k.classify_patterns().all_patterns
+        )
+        assert abs(acc - eg) <= 1e-12 * abs(eg)
