@@ -46,7 +46,6 @@ from .core import (
     load_signal,
     make_modulus,
     save_signal,
-    signal_from_weighted_intervals,
     signal_stats,
 )
 from .report import (

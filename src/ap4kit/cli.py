@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--construction", choices=("F", "G", "P", "A", "quad_levelset"), required=True
     )
     p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--seed", type=int, default=42, help="used by the sampled set A")
-    p_build.add_argument("--c", type=float, default=0.05, help="used by quad_levelset")
+    p_build.add_argument("--seed", type=int, default=None, help="A only (default 42)")
+    p_build.add_argument("--c", type=float, default=None, help="quad_levelset only (default 0.05)")
     p_build.add_argument("--out", type=str, required=True)
 
     p_count = sub.add_parser("count", help="k-term progression mean of a signal file")
@@ -166,12 +166,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"spectrum of {args.construction} at n={args.n} written to {args.csv}")
             return 0
         if args.command == "build":
+            if args.seed is not None and args.construction != "A":
+                raise ValueError("--seed applies to build --construction A only")
+            if args.c is not None and args.construction != "quad_levelset":
+                raise ValueError("--c applies to build --construction quad_levelset only")
             m = make_modulus(args.n)
             if args.construction == "A":
                 probs = cons.build_probability_signal(m)
-                signal = cons.sample_indicator(probs, RngStream(args.seed))
+                seed = 42 if args.seed is None else args.seed
+                signal = cons.sample_indicator(probs, RngStream(seed))
             elif args.construction == "quad_levelset":
-                signal = cons.quadratic_level_set(m, args.c)
+                signal = cons.quadratic_level_set(m, 0.05 if args.c is None else args.c)
             else:
                 signal = _BUILDERS[args.construction](m)
             save_signal(signal, args.out)

@@ -20,14 +20,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import (
-    IntervalZn,
-    IntSignalZ,
-    Modulus,
-    RngStream,
-    ZnSignal,
-    signal_from_weighted_intervals,
-)
+from .core import IntervalZn, IntSignalZ, Modulus, RngStream, ZnSignal
 from .errors import (
     InvalidDesignError,
     ModulusTooSmallError,
@@ -254,20 +247,23 @@ def interval_block(k: int, t: int) -> IntervalZn:
 def build_interval_signal(m: Modulus, block_length: int | None = None) -> ZnSignal:
     """Spread the lifted sequence over 300 length-t blocks with gaps of t.
 
-    Block k carries the constant value f(k), so the signal is a +/-1
-    combination of 64 disjoint interval indicators; an arithmetic progression
-    can only pass through blocks whose indices themselves form a progression,
-    which pins the exact 4-AP numerator at -72 * p(t) with p(t) the number of
-    progressions inside {1..t}.  ``block_length`` overrides the automatic gate
-    (used by small-modulus diagnostics); all 600 block endpoints must stay
-    distinct mod n.
+    Block k (``interval_block(k, t)``) carries the constant value f(k) and
+    every other residue is 0; an arithmetic progression can only pass
+    through blocks whose indices themselves form a progression, which pins
+    the exact 4-AP numerator at -72 * p(t) with p(t) the number of
+    progressions inside {1..t}.  ``block_length`` overrides the automatic
+    gate (used by small-modulus diagnostics); it must satisfy 600 t < n.
     """
     t = interval_block_length(m) if block_length is None else int(block_length)
     if t < 1 or 600 * t >= m.n:
         raise ModulusTooSmallError(f"block length {t} does not fit n = {m.n}")
     f = lift_signal(sign_grid(reference_design()))
-    parts = [(interval_block(k, t), f.value_at(k)) for k in range(1, 301) if f.value_at(k)]
-    return signal_from_weighted_intervals(m, parts)
+    values = np.zeros(m.n, dtype=np.int64)
+    # 600 t < n: block 300 ends at residue 600 t <= n - 1, so no block wraps or meets another
+    for k in f.support():
+        start = interval_block(k, t).start
+        values[start : start + t] = f.value_at(k)
+    return ZnSignal(m, values)
 
 
 def interval_progression_count(t: int) -> int:
@@ -316,7 +312,8 @@ def sample_indicator(p_signal: ZnSignal, rng: RngStream) -> ZnSignal:
     if p_signal.is_complex:
         raise ProbabilityOutOfRangeError("probabilities must be real")
     vals = p_signal.values
-    if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (float(vals.min()) >= 0.0 and float(vals.max()) <= 1.0):
         raise ProbabilityOutOfRangeError("probabilities must lie in [0, 1]")
     # p = 1 would scale to 2**64, which uint64 cannot hold; it always draws.
     certain = vals == 1.0

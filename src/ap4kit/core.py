@@ -5,17 +5,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    IoFailureError,
-    NotPrimeError,
-    OverlappingIntervalsError,
-    TooLargeError,
-    TooSmallError,
-)
+from .errors import IoFailureError, NotPrimeError, TooLargeError, TooSmallError
 
 # Counting kernels and exponent reductions stay exact in int64 below this bound.
 MAX_MODULUS = 2**31
@@ -145,56 +139,31 @@ def constant_signal(m: Modulus, value) -> ZnSignal:
     return ZnSignal(m, np.full(m.n, value))
 
 
-def signal_from_weighted_intervals(
-    m: Modulus, parts: Sequence[tuple[IntervalZn, int]]
-) -> ZnSignal:
-    """Build the +/-1 combination of disjoint interval indicators.
-
-    Raises OverlappingIntervalsError if any residue is covered twice.
-    """
-    values = np.zeros(m.n, dtype=np.int64)
-    covered = np.zeros(m.n, dtype=bool)
-    for interval, weight in parts:
-        if weight not in (-1, 1):
-            raise ValueError(f"weights must be +1 or -1, got {weight}")
-        idx = interval.residues(m)
-        if covered[idx].any():
-            raise OverlappingIntervalsError(
-                f"interval starting at {interval.start} overlaps a previous one"
-            )
-        covered[idx] = True
-        values[idx] = weight
-    return ZnSignal(m, values)
-
-
 class SignalStats(NamedTuple):
     mean: float
-    l2_mean: float
     minimum: float
     maximum: float
 
 
 def signal_stats(s: ZnSignal) -> SignalStats:
-    """Mean, mean square, min and max of a real signal; the mean equals dft(s)[0]."""
+    """Mean, min and max of a real signal; the mean equals dft(s)[0].
+
+    An exact signal is summed in int64 when that cannot wrap and in Python
+    integers otherwise; a float signal is summed with ``math.fsum``.
+    """
     if s.is_complex:
         raise ValueError("signal_stats is defined for real signals only")
     n = s.n
     if s.exact:
         # Python ints, since abs(-2^63) wraps in int64
         lo, hi = int(s.values.min()), int(s.values.max())
-        if n * max(-lo, hi) ** 2 < 2**63:  # neither int64 sum can wrap
+        if n * max(-lo, hi) < 2**63:  # the int64 sum cannot wrap
             total = int(s.values.sum(dtype=np.int64))
-            sq = int((s.values * s.values).sum(dtype=np.int64))
         else:
-            vals = s.values.tolist()
-            total = sum(vals)
-            sq = sum(v * v for v in vals)
-        return SignalStats(total / n, sq / n, float(lo), float(hi))
+            total = sum(s.values.tolist())
+        return SignalStats(total / n, float(lo), float(hi))
     return SignalStats(
-        math.fsum(s.values.tolist()) / n,
-        math.fsum((s.values * s.values).tolist()) / n,
-        float(s.values.min()),
-        float(s.values.max()),
+        math.fsum(s.values.tolist()) / n, float(s.values.min()), float(s.values.max())
     )
 
 

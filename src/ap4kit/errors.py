@@ -17,10 +17,6 @@ class TooLargeError(Ap4KitError):
     """The argument exceeds the supported range (moduli < 2**31, search sizes)."""
 
 
-class OverlappingIntervalsError(Ap4KitError):
-    """Two intervals passed as disjoint share a residue."""
-
-
 class DegenerateQuadraticError(Ap4KitError):
     """The leading quadratic coefficient vanishes mod n."""
 

@@ -288,10 +288,8 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
             a = 1 + sub.next_word() % (n - 1)
             b = sub.next_word() % n
             c = sub.next_word() % n
-            measured, _ = modulated_interval_uniformity_check(
-                m, IntervalZn(start, length), (a, b, c)
-            )
-            worst = max(worst, measured)
+            interval = IntervalZn(start, length)
+            worst = max(worst, modulated_interval_uniformity_check(m, interval, (a, b, c)))
         return {"value": worst, "trials": MODULATED_TRIALS}, bound, worst <= bound, False
 
     runner.run(
@@ -448,7 +446,8 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
 
     For each n the modulated signal's uniformity and the mean difference
     |EG - 2 EF| are recorded raw and divided by n^-1/2 ln n; consecutive
-    normalized values must stay within a factor 10 of each other.  |mean G| is
+    normalized values must stay within a factor 10 of each other; a failed
+    measurement skips every later stage, ratios included.  |mean G| is
     recorded for reference (its normalized value can fluctuate through zero,
     so no band is asserted on it).  An empty n_list is a ValueError: a series
     that measures nothing must not pass.  Every modulus must pass the
@@ -460,7 +459,6 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     moduli = [make_modulus(n) for n in n_list]
     for m in moduli:
         cons.interval_block_length(m)
-    rows = []
     runner = _Runner()
     for m in moduli:
         n = m.n
@@ -483,13 +481,14 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
                 "normalized_difference": diff / scale,
                 "normalized_mean_abs": mean_abs / scale,
             }
-            rows.append(row)
             return row, None, True, False
 
         runner.run(f"scaling_measurements@{n}", "normalized-series-recorded", measure)
 
-    for a, b in zip(rows, rows[1:]):
-        def ratios(a=a, b=b):
+    # A ratio stage runs only when every measurement passed, so checks[i] holds moduli[i]'s row.
+    for i, (ma, mb) in enumerate(zip(moduli, moduli[1:])):
+        def ratios(i=i):
+            a, b = (c.measured for c in runner.checks[i : i + 2])
             ur = b["normalized_uniformity"] / a["normalized_uniformity"]
             dr = b["normalized_difference"] / a["normalized_difference"]
             ok = 0.1 <= ur <= 10.0 and 0.1 <= dr <= 10.0
@@ -497,7 +496,7 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
             return measured, None, ok, False
 
         runner.run(
-            f"scaling_ratio@{a['n']}->{b['n']}",
+            f"scaling_ratio@{ma.n}->{mb.n}",
             "consecutive-normalized-ratios-in-[0.1,10]",
             ratios,
         )

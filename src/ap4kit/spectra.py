@@ -12,7 +12,6 @@ table is cached or new.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,12 +99,12 @@ def _roots_of_unity(n: int) -> np.ndarray:
 
 def modulated_interval_uniformity_check(
     m: Modulus, interval: IntervalZn, quad: tuple[int, int, int]
-) -> tuple[float, float]:
+) -> float:
     """Largest coefficient (all r, r = 0 included) of I(x) w^(a x^2 + b x + c).
 
-    Returns (measured, 2 n^-1/2 ln n); the measured value never exceeds the
-    bound, because the phase spectrum is flat at n^-1/2 and the interval
-    spectrum has l1 norm at most 2 ln n.
+    The value never exceeds 2 n^-1/2 ln n, because the phase spectrum is flat
+    at n^-1/2 and the interval spectrum has l1 norm at most 2 ln n;
+    ``run_verify`` checks it against that bound.
 
     No transform is taken.  n is prime, so 2a is invertible; with
     s = (r - b)(2a)^-1 the exponent a x^2 + (b - r) x + c equals
@@ -132,8 +131,7 @@ def modulated_interval_uniformity_check(
     np.subtract(prefix[length:], prefix[:split], out=windows[:split])
     np.subtract(prefix[n], prefix[split:n], out=windows[split:])
     windows[split:] += prefix[1:length]
-    bound = 2.0 * math.log(n) / math.sqrt(n)
-    return float(np.abs(windows).max()) / n, bound
+    return float(np.abs(windows).max()) / n
 
 
 def save_spectrum_csv(sp: Spectrum, path) -> None:

@@ -158,7 +158,7 @@ def test_criterion_05_phase_flatness_and_modulated_intervals(m10007):
         length = 1 + rng.next_word() % (n - 1)
         a = 1 + rng.next_word() % (n - 1)
         b = rng.next_word() % n
-        measured, _ = k.modulated_interval_uniformity_check(
+        measured = k.modulated_interval_uniformity_check(
             m10007, k.IntervalZn(start_res, length), (a, b, 0)
         )
         worst_mod = max(worst_mod, measured)

@@ -268,6 +268,20 @@ class TestIntervalSignal:
         assert nz.min() >= 1
         assert nz.max() <= 10007 // 2
 
+    @pytest.mark.parametrize("n, block_length", [(10007, None), (601, 1)])
+    def test_blocks_against_a_loop(self, n, block_length):
+        # at n = 601, t = 1 the last block is residue 600 = n - 1, the gate's edge
+        m = k.make_modulus(n)
+        t = k.interval_block_length(m) if block_length is None else block_length
+        lift = k.lift_signal(k.sign_grid(k.reference_design()))
+        want = [0] * n
+        for block in range(1, 301):
+            for x in range((2 * block - 1) * t + 1, 2 * block * t + 1):
+                want[x] = lift.value_at(block)
+        got = k.build_interval_signal(m, block_length)
+        assert got.exact
+        assert got.values.tolist() == want
+
     def test_exact_numerator(self, f10007):
         mean = k.apk_mean_zn([f10007] * 4)
         assert mean.exact_numerator == -72 * 22 == -1584
@@ -462,6 +476,14 @@ class TestSampling:
         m = k.make_modulus(11)
         with pytest.raises(ProbabilityOutOfRangeError):
             k.sample_indicator(k.constant_signal(m, 1.5), k.RngStream(0))
+
+    def test_nan_probability_rejected(self):
+        # NaN fails every comparison, so a range test must not be written as two rejections
+        m = k.make_modulus(11)
+        probs = np.full(11, 0.5)
+        probs[4] = np.nan
+        with pytest.raises(ProbabilityOutOfRangeError):
+            k.sample_indicator(k.ZnSignal(m, probs), k.RngStream(0))
 
     def test_complex_probabilities_rejected(self):
         m = k.make_modulus(11)

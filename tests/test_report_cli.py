@@ -284,6 +284,30 @@ class TestRunScaling:
         with pytest.raises(NotPrimeError):
             k.run_scaling([6007, 10006])
 
+    def test_failed_measurement_skips_the_ratios(self, monkeypatch):
+        build = k.constructions.build_modulated_signal
+
+        def crash_at_20011(m, block_length=None):
+            if m.n == 20011:
+                raise RuntimeError("no modulated signal")
+            return build(m, block_length)
+
+        monkeypatch.setattr(k.constructions, "build_modulated_signal", crash_at_20011)
+        report = k.run_scaling([10007, 20011, 40009])
+        assert [c.name for c in report.checks] == [
+            "scaling_measurements@10007",
+            "scaling_measurements@20011",
+            "scaling_measurements@40009",
+            "scaling_ratio@10007->20011",
+            "scaling_ratio@20011->40009",
+        ]
+        first, failed, *rest = report.checks
+        assert first.passed and not first.skipped
+        assert failed.passed is False and not failed.skipped
+        assert failed.measured == {"error": "RuntimeError: no modulated signal"}
+        assert all(c.skipped and c.passed is None for c in rest)
+        assert not report.passed()
+
 
 class TestRunDemo:
     def test_small_density_excess(self):
@@ -511,6 +535,27 @@ class TestCli:
         assert rc == 0
         density = k.signal_stats(k.load_signal(out)).mean
         assert density == pytest.approx(0.1, abs=0.03)
+
+    @pytest.mark.parametrize(
+        "construction, option",
+        [("F", ["--seed", "7"]), ("quad_levelset", ["--seed", "7"]), ("G", ["--c", "0.1"]),
+         ("A", ["--c", "0.1"])],
+    )
+    def test_build_inapplicable_option_exits_2(self, construction, option, tmp_path, capsys):
+        out = tmp_path / "S.json"
+        argv = ["build", "--construction", construction, "--n", "6007", "--out", str(out)]
+        assert main(argv + option) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option[0]} applies to build --construction")
+        assert not out.exists()
+
+    def test_build_defaults_match_the_explicit_options(self, tmp_path):
+        for construction, option in (("A", ["--seed", "42"]), ("quad_levelset", ["--c", "0.05"])):
+            paths = tmp_path / f"{construction}-default.json", tmp_path / f"{construction}.json"
+            base = ["build", "--construction", construction, "--n", "6007", "--out"]
+            assert main(base + [str(paths[0])]) == 0
+            assert main(base + [str(paths[1])] + option) == 0
+            assert paths[0].read_text() == paths[1].read_text()
 
     def test_failing_report_exits_1(self, verify_6007, tmp_path):
         from ap4kit.cli import _finish_report
