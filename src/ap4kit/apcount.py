@@ -26,34 +26,43 @@ one of the two j >= 4 kernels below without being split again, so the j = 3
 convolution only sees inputs in [-64, 64], as its bound assumes.  The input
 split is the one with the fewest points o_r off its mode m_r (its most
 frequent nonzero value), and only when (k - 1) o_r n is below the cost of
-the unsplit route.  Only inputs with support above n / 2 are searched for
-a mode, which sorts them; any other has o_r >= n / 2 >= s_r, so the split
-cannot pay, and the sparse signals and level sets never sort.  The
-probability signal P = (G + 4) / 8 is 1/2 on about 95% of Z_n, so E[P^4]
-becomes one j = 3 convolution plus a slice sum over the 5% of rows off 1/2.
+the unsplit route.  On 0/1 inputs that is the packed kernel's, at most
+about 9 (k - 1) s_r n / 64, so a 0/1 input is split only when it is 1 on
+more than about 7/8 of Z_n.  Only inputs with support above n / 2 are
+searched for a mode, which sorts them; any other has o_r >= n / 2 >= s_r,
+so the split cannot pay, and the sparse signals and level sets never sort.
+The probability signal P = (G + 4) / 8 is 1/2 on about 95% of Z_n, so
+E[P^4] becomes one j = 3 convolution plus a slice sum over the 5% of rows
+off 1/2.
 
 The two j >= 4 kernels are chosen from k, the support sizes s_r and n
-alone.  The per-d slice kernel ``_per_d_partials`` sums over the support of
-its sparsest input, the pivot, at a cost of (k - 1) min(s) n contiguous
-products, half that on a mirror list (inputs that read the same reversed,
-such as [s] * k), where it computes only the steps d <= (n - 1) / 2.  Rows
-at the pivot's mode (1 on every row of a 0/1 input) are summed unscaled
-and scaled by the mode once, so only the other rows pay a scaling pass.  The
-support-pair sum ``_support_pair_sum`` enumerates the supports of the
-adjacent pair (p, p + 1) with the least product s_p s_{p+1} and reads every
-other input by one gather, at a cost of at most (k - 2) s_p s_{p+1}
-gathered elements.  It splits both supports into blocks, their runs of
-consecutive residues when those average at least ``_RUN_POINTS`` points
-and else the whole support, and skips every block pair in which some other
-input is read only where it is zero (tested with prefix counts), so on the
-64 runs of the interval and modulated signals it gathers only the run
-pairs that can hold a progression.  One gather costs
-about five contiguous products, so the pair route is taken when
-5 (k - 2) s_p s_{p+1} is below the slice kernel's cost: on the interval and
-modulated signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and
-on level sets of density below about 0.15, while dense signals stay on the
-slice kernel.  The rule charges every pair, skipped or not, so blocks do not
-move any input to another route.  ``ap4_sum_z`` embeds its finitely
+alone, and from whether every input is 0/1.  The per-d slice kernel
+``_per_d_partials`` sums over the support of its sparsest input, the pivot,
+at a cost of (k - 1) min(s) n contiguous products, half that on a mirror
+list (inputs that read the same reversed, such as [s] * k), where it
+computes only the steps d <= (n - 1) / 2.  Rows at the pivot's mode are
+summed unscaled and scaled by the mode once, so only the other rows pay a
+scaling pass.  When every input is int64 with values in {0, 1} (the sets of
+the paper: sampled sets and level sets), the packed slice kernel
+``_packed_slice_sum`` takes its place: the same pivot rows and slices, with
+the product an AND and the sum over d a popcount of 64 steps per word, at
+(k - 1) min(s) ceil(width / 64) gathered words, width being n or
+(n + 1) / 2 on a mirror list.  The support-pair sum ``_support_pair_sum``
+enumerates the supports of the adjacent pair (p, p + 1) with the least
+product s_p s_{p+1} and reads every other input by one gather, at a cost of
+at most (k - 2) s_p s_{p+1} gathered elements.  It splits both supports
+into blocks, their runs of consecutive residues when those average at least
+``_RUN_POINTS`` points and else the whole support, and skips every block
+pair in which some other input is read only where it is zero (tested with
+prefix counts), so on the 64 runs of the interval and modulated signals it
+gathers only the run pairs that can hold a progression.  One gather costs
+about five contiguous products, and one gathered word about nine, so the
+pair route is taken when 5 (k - 2) s_p s_{p+1} is below the slice kernel's
+cost (the packed one's on 0/1 inputs): on the interval and modulated
+signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and on 0/1
+sets of density below about 0.02, while dense signals and denser sets stay
+on a slice kernel.  The rule charges every pair, skipped or not, so blocks
+do not move any input to another route.  ``ap4_sum_z`` embeds its finitely
 supported signal in Z_p and takes the same routes, and the phase-modulated
 means ``modulated_ap4_mean`` hand their complex phase-weighted copies to the
 same choice of j >= 4 kernel (the j <= 3 routes and the mode split take
@@ -74,6 +83,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import IntSignalZ, ZnSignal, is_prime, make_modulus
 from .errors import ModulusMismatchError, NotIndicatorError
@@ -150,8 +160,9 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
     The rows y at the pivot's mode (its most frequent nonzero value, the
     first in sorted order on a tie) are added up unscaled, in increasing y,
     and their sum is multiplied by the mode once; then each other row is
-    scaled by a_p(y) and added, in increasing y.  On a 0/1 input that skips
-    the scaling pass of every row.  Integer partials stay exact for k <= 5
+    scaled by a_p(y) and added, in increasing y.  On a 0/1 pivot that skips
+    the scaling pass of every row (lists of 0/1 inputs alone take
+    ``_packed_slice_sum`` instead).  Integer partials stay exact for k <= 5
     and n < 2^31 with every input in [-64, 64] but one in [-128, 128] (a mode
     split's deviation): every partial, and the mode rows' sum before and
     after its scaling, is at most n * 128 * 64^(k-1) <= n * 2^31 < 2^62.
@@ -454,22 +465,90 @@ def _slice_sum(arrays: list[np.ndarray]) -> int | float | complex:
     return _reduce(_per_d_partials(arrays))
 
 
+def _is_indicator(a: np.ndarray) -> bool:
+    """Whether a is int64 with every value in {0, 1} (as uint64 a negative value is above 1)."""
+    return a.dtype == np.int64 and not (a.view(np.uint64) > 1).any()
+
+
+def _packed_slice_sum(arrays: list[np.ndarray]) -> int:
+    """The slice kernel's sum over d for int64 inputs with values in {0, 1}, 64 steps d per word.
+
+    The structure is ``_per_d_partials``': the pivot p is the sparsest input,
+    input j != p is read from its dilated copy c_j(z) = a_j(s_j z), repeated
+    periodically, at offset t = y s_j^-1 mod n for a pivot row y, and a
+    mirror list computes only the steps d < width = (n + 1) / 2.  On 0/1
+    values the product over the inputs is an AND and the sum over d a
+    popcount.  Each copy becomes a (64, words) uint64 table whose row b
+    holds the copy packed from bit b, bit i of word w being c_j(b + 64 w + i),
+    so the slice from bit t is the window of ceil(width / 64) words from word
+    t >> 6 of row t & 63.  The pivot rows are gathered about ``_PAIR_CHUNK``
+    words at a time: one window per input, ANDed in place, the last word
+    masked to the width, and popcounted.  On a mirror list the total is
+    2 T - Z, T the popcount over d < width and Z its d = 0 term (bit 0 of
+    each row), the number of x where every input is 1.  The sum is counted
+    in Python integers, so it is exact at every n.
+    """
+    n = arrays[0].shape[0]
+    mirrored = _mirrored(arrays)
+    width = (n + 1) // 2 if mirrored else n
+    window = -(-width // 64)
+    words = (n - 1) // 64 + window  # the window from any offset t < n ends inside them
+    shifts = np.arange(1, 64, dtype=np.uint64)[:, None]
+    p = int(np.argmin([np.count_nonzero(a) for a in arrays]))
+    support = np.flatnonzero(arrays[p])
+    tables = []  # (every window of c_j's table, s_j^-1 mod n) for each j != p
+    for j, a in enumerate(arrays):
+        if j != p:
+            s = (j - p) % n
+            c = a[s * np.arange(n, dtype=np.int64) % n].astype(np.uint8)  # s, z < n < 2^31
+            # c repeated over every word a window reads, plus one for the shifts
+            packed = np.packbits(np.resize(c, 64 * (words + 1)), bitorder="little").view("<u8")
+            table = np.empty((64, words), dtype=np.uint64)
+            table[0] = packed[:words]
+            table[1:] = (packed[:words] >> shifts) | (packed[1:] << (64 - shifts))
+            tables.append((sliding_window_view(table, window, axis=1), pow(s, -1, n)))
+    mask = np.uint64((1 << (width - 64 * (window - 1))) - 1)  # the last word's steps d < width
+    (first, u0), *rest = tables
+    total = zero = 0
+    rows = max(1, _PAIR_CHUNK // window)
+    for start in range(0, support.size, rows):
+        ys = support[start : start + rows]
+        t = ys * u0 % n
+        acc = first[t & 63, t >> 6]
+        for windows, u in rest:
+            t = ys * u % n
+            acc &= windows[t & 63, t >> 6]
+        acc[:, -1] &= mask
+        total += int(np.bitwise_count(acc).sum())
+        zero += int(np.count_nonzero(acc[:, 0] & np.uint64(1)))
+    return 2 * total - zero if mirrored else total
+
+
 def _kernel_route(arrays: list[np.ndarray], sizes: list[int]):
     """(cost, route): the cheaper j >= 4 kernel for inputs with support sizes s_r = sizes[r].
 
     The slice kernel costs (k - 1) min(s) n contiguous products, half that on
     a mirror list, and the support-pair sum at most (k - 2) s_p s_{p+1}
     gathers, fewer when it skips block pairs; one gather costs about five
-    contiguous products.  The rule charges every pair, skipped or not, so it
-    depends on sizes and n alone.
+    contiguous products.  When every input is int64 with values in {0, 1},
+    the packed slice kernel replaces the slice kernel, at (k - 1) min(s)
+    ceil(width / 64) gathered words (width n, or (n + 1) / 2 on a mirror
+    list); one gathered word costs about nine contiguous products.  The rule
+    charges every pair, skipped or not, so it depends on sizes, n and
+    whether the inputs are 0/1 alone.
     """
     k, n = len(arrays), arrays[0].shape[0]
     p = _sparsest_pair(sizes)
     pair_cost = 5 * (k - 2) * sizes[p] * sizes[p + 1]
-    slice_cost = (k - 1) * min(sizes) * n / (2 if _mirrored(arrays) else 1)
-    if pair_cost < slice_cost:
+    mirrored = _mirrored(arrays)
+    if all(_is_indicator(a) for a in arrays):
+        width = (n + 1) // 2 if mirrored else n
+        cost, route = 9 * (k - 1) * min(sizes) * -(-width // 64), _packed_slice_sum
+    else:
+        cost, route = (k - 1) * min(sizes) * n / (2 if mirrored else 1), _slice_sum
+    if pair_cost < cost:
         return pair_cost, _support_pair_sum
-    return slice_cost, _slice_sum
+    return cost, route
 
 
 def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
@@ -537,14 +616,19 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
       when the inputs read the same reversed (s_r the support sizes,
       (p, p + 1) the adjacent pair with the least product), else the per-d
       slice kernel, which computes only half the steps of such a mirror
-      list.  The rule charges the support-pair sum for all s_p s_{p+1}
-      pairs, though it skips the block pairs that hold no progression.
+      list.  When every input is int64 with values in {0, 1}, the right
+      side is 9 (k - 1) min(s) ceil(width / 64), width n or (n + 1) / 2 on
+      a mirror list, and the packed slice kernel, 64 steps d per word,
+      replaces the per-d one.  The rule charges the support-pair sum for
+      all s_p s_{p+1} pairs, though it skips the block pairs that hold no
+      progression.
 
     Every choice depends on the values' sizes, modes and n alone, and is the
-    same for exact and float inputs; only the reduction (Python integers or
-    compensated summation) and the j = 3 convolution's rounding differ.  That
-    rounding depends on the exact inputs' values and n alone: their norms
-    and the FFT's result.
+    same for exact and float inputs, but for the packed slice kernel, which
+    takes exact 0/1 inputs only; otherwise only the reduction (Python
+    integers or compensated summation) and the j = 3 convolution's rounding
+    differ.  That rounding depends on the exact inputs' values and n alone:
+    their norms and the FFT's result.
     """
     k = len(signals)
     if k not in (3, 4, 5):
@@ -597,7 +681,7 @@ def linear_form_mean_fourier(b: ZnSignal) -> float:
     Computed as sum_r |B^(r)|^2 |B^(3r)|^2, which also shows the value is at
     least density(B)^4: the nonzero frequencies contribute non-negatively.
     """
-    if not b.exact or not np.isin(b.values, (0, 1)).all():
+    if not _is_indicator(b.values):
         raise NotIndicatorError("expected a 0/1-valued signal")
     n = b.n
     coeffs = dft(b).coeffs

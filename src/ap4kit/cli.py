@@ -113,7 +113,7 @@ def _finish_report(report: VerificationReport, out: str | None) -> int:
 def _cmd_search(args) -> int:
     if args.space == "grid":
         if args.n is not None:
-            print("--n applies to search pm1/ternary only", file=sys.stderr)
+            print("error: --n applies to search pm1/ternary only", file=sys.stderr)
             return 2
         designs = search_grid_designs(args.max_results)
         n, best = 4, None
@@ -123,10 +123,10 @@ def _cmd_search(args) -> int:
         print(f"{len(designs)} valid designs")
     else:
         if args.n is None:
-            print("search pm1/ternary requires --n", file=sys.stderr)
+            print("error: search pm1/ternary requires --n", file=sys.stderr)
             return 2
         if args.max_results:
-            print("--max-results applies to search grid only", file=sys.stderr)
+            print("error: --max-results applies to search grid only", file=sys.stderr)
             return 2
         result = min_ap4_pm1(args.n) if args.space == "pm1" else min_ap4_ternary(args.n)
         n, best, exhaustive = args.n, result.best_value, result.exhaustive

@@ -14,6 +14,7 @@ from ap4kit.apcount import (
     _cyclic_convolution,
     _fft_rounding_bound,
     _mirrored,
+    _packed_slice_sum,
     _per_d_partials,
     _smooth_length,
     _sparsest_pair,
@@ -668,6 +669,61 @@ class TestBlocks:
         assert _support_pair_sum([g] * count) == pytest.approx(oracle, rel=1e-12)
 
 
+def _indicator(rng, n, density):
+    return (rng.random(n) < density).astype(np.int64)
+
+
+def _packed_cases(n, count, seed):
+    """(arrays, mirrored) of 0/1 inputs: the sparsest input at each position of a
+    list that is not a mirror list, at each position of the first half of a mirror
+    list, and a list with a constant-1 input."""
+    rng = np.random.default_rng(seed)
+    for pivot in range(count):
+        arrays = [_indicator(rng, n, 0.3 if i == pivot else 0.7) for i in range(count)]
+        yield arrays, False
+    size = (count + 1) // 2
+    for pivot in range(size):
+        half = [_indicator(rng, n, 0.3 if i == pivot else 0.7) for i in range(size)]
+        yield half + half[::-1][count % 2 :], True
+    arrays = [_indicator(rng, n, 0.5) for _ in range(count)]
+    arrays[1] = np.ones(n, dtype=np.int64)
+    yield arrays, False
+
+
+class TestPackedSliceSum:
+    """The packed slice kernel on 0/1 inputs against the slice kernel and a plain double sum."""
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 127])
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_matches_slice_kernel_and_brute_force(self, n, count):
+        # width < 64 at n <= 11; at n = 127 a mirror list's width is exactly one word
+        for arrays, mirrored in _packed_cases(n, count, seed=n + count):
+            assert _mirrored(arrays) is mirrored
+            got = _packed_slice_sum(arrays)
+            assert type(got) is int
+            assert got == sum(_per_d_partials(arrays).tolist())
+            assert got == sum(_brute_partials([a.tolist() for a in arrays]))
+
+    @pytest.mark.parametrize("n", [1009, 20011])
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_large_moduli_match_slice_kernel(self, n, count):
+        # at 20011 the pivot's rows span several chunks, mirror list or not
+        rng = np.random.default_rng(n + count)
+        a = _indicator(rng, n, 0.5)
+        cases = [[a] * count, [_indicator(rng, n, 0.1 + 0.1 * i) for i in range(count)]]
+        for arrays in cases:
+            if n == 20011:
+                width = (n + 1) // 2 if _mirrored(arrays) else n
+                pivot = min(np.count_nonzero(v) for v in arrays)
+                assert pivot > apcount._PAIR_CHUNK // -(-width // 64)
+            assert _packed_slice_sum(arrays) == sum(_per_d_partials(arrays).tolist())
+
+    def test_empty_pivot(self):
+        n = 11
+        arrays = [np.ones(n, dtype=np.int64)] * 3 + [np.zeros(n, dtype=np.int64)]
+        assert _packed_slice_sum(arrays) == 0
+
+
 class TestRouting:
     """Which j >= 4 route a progression sum takes, with the other one patched to raise."""
 
@@ -685,19 +741,50 @@ class TestRouting:
         k.apk_mean_zn([s] * 4)
 
     def test_sparse_level_set_takes_support_pairs(self, monkeypatch):
-        # density about 0.1: 5 (k - 2) s^2 = 1.0 s n < (k - 1) s n / 2 = 1.5 s n
-        s = k.quadratic_level_set(k.make_modulus(10007), 0.05)
+        # density about 0.01: 5 (k - 2) s^2 = 0.1 s n is below the packed slice
+        # kernel's 9 (k - 1) s ceil(n / 128) = 0.21 s n
+        s = k.quadratic_level_set(k.make_modulus(10007), 0.005)
         oracle = sum(_per_d_partials([s.values] * 4).tolist())
         monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
+        monkeypatch.setattr("ap4kit.apcount._packed_slice_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
 
     def test_mirror_list_charges_slice_kernel_half(self, monkeypatch):
         # density about 0.2: 5 (k - 2) s^2 = 2.0 s n is below the full (k - 1) s n = 3 s n,
-        # but not below the mirror list's half of it
-        s = k.quadratic_level_set(k.make_modulus(10007), 0.1)
+        # but not below the mirror list's half of it; the level set is negated, so it is
+        # not a 0/1 input and the packed kernel does not apply
+        m = k.make_modulus(10007)
+        s = k.ZnSignal(m, -k.quadratic_level_set(m, 0.1).values)
         oracle = _support_pair_sum([s.values] * 4)
         monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_indicator_sets_take_packed_route(self, monkeypatch, count):
+        # one call on the unsplit inputs, A's support above n / 2 or not
+        m = k.make_modulus(10007)
+        p = k.build_probability_signal(m)
+        sets = [k.quadratic_level_set(m, 0.05), k.quadratic_level_set(m, 0.2)]
+        sets += [k.sample_indicator(p, k.RngStream(seed)) for seed in (0, 1)]
+        for s in sets:
+            oracle = sum(_per_d_partials([s.values] * count).tolist())
+            with monkeypatch.context() as patch:
+                recorder = _Recorder(patch)
+                assert k.apk_mean_zn([s] * count).exact_numerator == oracle
+            assert [name for name, _ in recorder.calls] == ["_packed_slice_sum"]
+            assert all(a is s.values for a in recorder.calls[0][1])
+
+    def test_other_signals_never_take_packed_route(self, monkeypatch):
+        # F (exact), G (float), P (split at 1/2) and signed +/-1 inputs
+        m = k.make_modulus(10007)
+        signals = [k.build_interval_signal(m), k.build_modulated_signal(m),
+                   k.build_probability_signal(m)]
+        signs = np.random.default_rng(3).choice((-1, 1), 1009)
+        signals.append(k.ZnSignal(k.make_modulus(1009), signs))
+        monkeypatch.setattr("ap4kit.apcount._packed_slice_sum", _forbidden)
+        for s in signals:
+            for count in (4, 5):
+                k.apk_mean_zn([s] * count)
 
     def test_modulated_means_take_support_pairs(self, monkeypatch):
         # the phase-weighted copies keep F's sparse support, so they take the pair route
@@ -759,7 +846,7 @@ class _Recorder:
 
     def __init__(self, monkeypatch, stub=False):
         self.calls = []
-        for name in ("_slice_sum", "_support_pair_sum", "_three_input_sum"):
+        for name in ("_slice_sum", "_packed_slice_sum", "_support_pair_sum", "_three_input_sum"):
             original = getattr(apcount, name)
 
             def record(arrays, name=name, original=original):
@@ -857,14 +944,16 @@ class TestModeSplit:
     def test_other_signals_keep_their_route(self, monkeypatch):
         # F, G and the c = 0.05 level set (support <= n / 2) are never searched;
         # the sampled set A has no dominant value, so it is searched at most
-        # (when its support passes n / 2) but not split
+        # (when its support passes n / 2) but not split; the 0/1 inputs take the
+        # packed slice kernel
         m = k.make_modulus(10007)
         p = k.build_probability_signal(m)
-        sparse = [k.build_interval_signal(m), k.build_modulated_signal(m),
-                  k.quadratic_level_set(m, 0.05)]
+        sparse = [k.build_interval_signal(m), k.build_modulated_signal(m)]
+        indicators = [k.quadratic_level_set(m, 0.05)]
         samples = [k.sample_indicator(p, k.RngStream(seed)) for seed in range(4)]
         assert {2 * np.count_nonzero(a.values) > m.n for a in samples} == {False, True}
-        cases = [(s, "_support_pair_sum") for s in sparse] + [(s, "_slice_sum") for s in samples]
+        cases = [(s, "_support_pair_sum") for s in sparse]
+        cases += [(s, "_packed_slice_sum") for s in indicators + samples]
         for s, route in cases:
             for count in (4, 5):
                 with monkeypatch.context() as patch:
@@ -876,6 +965,24 @@ class TestModeSplit:
                 assert all(a is s.values for a in arrays)
                 searched = 1 if 2 * np.count_nonzero(s.values) > m.n else 0
                 assert len(recorder.searched) == searched
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_nearly_full_indicator_is_split(self, monkeypatch, count):
+        # 1 on all but 3 of 101 points, in a list that is not a mirror list: the split
+        # costs (k - 1) 3 n = 303 (k - 1), below the packed kernel's 9 (k - 1) 98
+        # ceil(101 / 64) = 1764 (k - 1); the deviation, -1 on the 3 points, takes an
+        # int64 kernel
+        n = 101
+        a = np.ones(n, dtype=np.int64)
+        a[[5, 40, 77]] = 0
+        b = np.roll(a, 1)
+        arrays = [a] * (count - 1) + [b]
+        oracle = sum(_brute_partials([v.tolist() for v in arrays]))
+        m = k.make_modulus(n)
+        signals = [k.ZnSignal(m, v) for v in arrays]
+        recorder = _Recorder(monkeypatch)
+        assert k.apk_mean_zn(signals).exact_numerator == oracle
+        assert any(set(d.tolist()) == {-1, 0} for d in recorder.deviations(signals))
 
     def test_no_search_at_or_below_half_support(self, monkeypatch):
         # a dense majority input beside inputs of support exactly (n + 1) / 2 and n // 2

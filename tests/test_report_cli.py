@@ -470,6 +470,7 @@ class TestCli:
 
     def test_search_pm1_requires_n(self, capsys):
         assert main(["search", "pm1"]) == 2
+        assert capsys.readouterr().err == "error: search pm1/ternary requires --n\n"
 
     def test_scaling_command(self, capsys):
         assert main(["scaling", "--n-list", "6007,10007"]) == 0
@@ -492,22 +493,25 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["search", "grid", "--max-results", "-3"],
-            ["search", "pm1", "--n", "5", "--max-results", "2"],
-            ["search", "ternary", "--n", "5", "--max-results", "-1"],
+        [  # (arguments, the one stderr line)
+            (["search", "grid", "--max-results", "-3"], "error: max_results must be >= 0, got -3"),
+            (["search", "pm1", "--n", "5", "--max-results", "2"],
+             "error: --max-results applies to search grid only"),
+            (["search", "ternary", "--n", "5", "--max-results", "-1"],
+             "error: --max-results applies to search grid only"),
         ],
     )
     def test_search_bad_max_results_exits_2(self, argv, capsys):
+        argv, err = argv
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err
+        assert captured.err == err + "\n"
         assert "designs" not in captured.out
 
     def test_search_grid_n_exits_2(self, capsys):
         assert main(["search", "grid", "--n", "7"]) == 2
         captured = capsys.readouterr()
-        assert "--n applies to search pm1/ternary only" in captured.err
+        assert captured.err == "error: --n applies to search pm1/ternary only\n"
         assert "designs" not in captured.out
 
     def test_build_interval_signal(self, tmp_path):
