@@ -22,51 +22,36 @@ it, when that pays.  For any value m, sum prod a_i = sum prod (a_r -> m) +
 sum prod (a_r -> a_r - m): the first term has one more constant input and
 re-enters the route tree (with k = 4, the j = 3 convolution), and the
 second replaces a_r by its deviation from m, nonzero only off m, and takes
-one of the two j >= 4 kernels below without being split again, so the j = 3
-convolution only sees inputs in [-64, 64], as its bound assumes.  The input
+a j >= 4 kernel below without being split again, so the j = 3 convolution
+only sees inputs in [-64, 64], as its bound assumes.  The input
 split is the one with the fewest points o_r off its mode m_r (its most
-frequent nonzero value), and only when (k - 1) o_r n is below the cost of
-the unsplit route.  On 0/1 inputs that is the packed kernel's, at most
-about 9 (k - 1) s_r n / 64, so a 0/1 input is split only when it is 1 on
-more than about 7/8 of Z_n.  Only inputs with support above n / 2 are
-searched for a mode, which sorts them; any other has o_r >= n / 2 >= s_r,
-so the split cannot pay, and the sparse signals and level sets never sort.
-The probability signal P = (G + 4) / 8 is 1/2 on about 95% of Z_n, so
-E[P^4] becomes one j = 3 convolution plus a slice sum over the 5% of rows
-off 1/2.
+frequent nonzero value), and only when (k - 1) o_r n is below the cost that
+``_kernel_route`` charges the unsplit list; the packed kernel is cheap, so a
+0/1 input is split only when it is 1 on more than about 7/8 of Z_n.  Only
+inputs with support above n / 2 are searched for a mode, which sorts them;
+any other has o_r >= n / 2 >= s_r, so the split cannot pay, and the sparse
+signals and level sets never sort.  The probability signal P = (G + 4) / 8
+is 1/2 on about 95% of Z_n, so E[P^4] becomes one j = 3 convolution plus a
+slice sum over the 5% of rows off 1/2.
 
-The two j >= 4 kernels are chosen from k, the support sizes s_r and n
-alone, and from whether every input is 0/1.  The per-d slice kernel
-``_per_d_partials`` sums over the support of its sparsest input, the pivot,
-at a cost of (k - 1) min(s) n contiguous products, half that on a mirror
-list (inputs that read the same reversed, such as [s] * k), where it
-computes only the steps d <= (n - 1) / 2.  Rows at the pivot's mode are
-summed unscaled and scaled by the mode once, so only the other rows pay a
-scaling pass.  When every input is int64 with values in {0, 1} (the sets of
-the paper: sampled sets and level sets), the packed slice kernel
-``_packed_slice_sum`` takes its place: the same pivot rows and slices, with
-the product an AND and the sum over d a popcount of 64 steps per word, at
-(k - 1) min(s) ceil(width / 64) gathered words, width being n or
-(n + 1) / 2 on a mirror list.  The support-pair sum ``_support_pair_sum``
-enumerates the supports of the adjacent pair (p, p + 1) with the least
-product s_p s_{p+1} and reads every other input by one gather, at a cost of
-at most (k - 2) s_p s_{p+1} gathered elements.  It splits both supports
-into blocks, their runs of consecutive residues when those average at least
-``_RUN_POINTS`` points and else the whole support, and skips every block
-pair in which some other input is read only where it is zero (tested with
-prefix counts), so on the 64 runs of the interval and modulated signals it
-gathers only the run pairs that can hold a progression.  One gather costs
-about five contiguous products, and one gathered word about nine, so the
-pair route is taken when 5 (k - 2) s_p s_{p+1} is below the slice kernel's
-cost (the packed one's on 0/1 inputs): on the interval and modulated
-signals (support about 5% of Z_n, so about 0.0025 n^2 pairs) and on 0/1
-sets of density below about 0.02, while dense signals and denser sets stay
-on a slice kernel.  The rule charges every pair, skipped or not, so blocks
-do not move any input to another route.  ``ap4_sum_z`` embeds its finitely
-supported signal in Z_p and takes the same routes, and the phase-modulated
-means ``modulated_ap4_mean`` hand their complex phase-weighted copies to the
-same choice of j >= 4 kernel (the j <= 3 routes and the mode split take
-real inputs only).
+There are three j >= 4 kernels.  The per-d slice kernel ``_per_d_partials``
+sums over the support of one input, the pivot, and on a mirror list (inputs
+that read the same reversed, such as [s] * k) computes only half the steps
+d; rows at the pivot's mode are summed unscaled and scaled by the mode once.
+The packed slice kernel ``_packed_slice_sum`` is the same on int64 inputs
+with values in {0, 1} (the sampled sets and level sets of the paper), with
+the product an AND and the sum over d a popcount of 64 steps per word.  The
+support-pair sum ``_support_pair_sum`` enumerates the supports of an
+adjacent pair of inputs, reads every other input by one gather, and skips
+the pairs of blocks (runs of consecutive residues, ``_blocks``) in which
+some input is read only where it is zero, such as most run pairs of the
+interval and modulated signals.  ``_kernel_route`` alone picks the kernel,
+its pivot, its pair and its step width, from k, the support sizes, n and
+whether every input is 0/1, and binds them to it; its docstring states the
+costs and the rule.  ``ap4_sum_z`` embeds its finitely supported signal in
+Z_p and takes the same routes, and ``modulated_ap4_mean`` hands its complex
+phase-weighted copies to the same choice of j >= 4 kernel (the j <= 3
+routes and the mode split take real inputs only).
 
 Every sum ends in one reduction, ``_reduce``: Python integers on int64
 values, so exact numerators stay exact, and compensated summation (of the
@@ -78,6 +63,7 @@ results bit-stable run to run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,13 +133,26 @@ def _reduce(values: np.ndarray) -> int | float | complex:
     return math.fsum(values.tolist())
 
 
-def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
+def _dilated(arrays: list[np.ndarray], p: int):
+    """Yield (c_j, s_j^-1 mod n) for each j != p in order: c_j(z) = a_j(s_j z), s_j = j - p mod n.
+
+    Input j is read from pivot row y at y + s_j d = s_j (y / s_j + d): for
+    the steps d = 0, 1, ... that is c_j from offset y s_j^-1 mod n on.
+    """
+    n = arrays[0].shape[0]
+    z = np.arange(n, dtype=np.int64)  # s_j, z < n < 2^31: no int64 wrap
+    for j, a in enumerate(arrays):
+        if j != p:
+            yield a[(j - p) % n * z % n], pow(j - p, -1, n)
+
+
+def _per_d_partials(arrays: list[np.ndarray], p: int, width: int) -> np.ndarray:
     """partials[d] = sum_x prod_i arrays[i][(x + i*d) mod n]; int, real or complex arrays.
 
     n must be prime and at least k.  The sum runs over the support of the
-    pivot p, the input with the fewest nonzeros: with y = x + p d it is
-    sum over y in supp(a_p) of a_p(y) prod_{j != p} a_j(y + s_j d), s_j = j - p
-    mod n.  In the dilated copy c_j(z) = a_j(s_j z) the factor is
+    pivot p, any input (``_kernel_route`` passes the sparsest): with y =
+    x + p d it is sum over y in supp(a_p) of a_p(y) prod_{j != p} a_j(y + s_j d),
+    s_j = j - p mod n.  In the dilated copy c_j (``_dilated``) the factor is
     c_j(y / s_j + d), so for all d at once it is one contiguous slice, and
     the cost is |supp(a_p)| * n products instead of n^2.
 
@@ -169,21 +168,14 @@ def _per_d_partials(arrays: list[np.ndarray]) -> np.ndarray:
 
     Reading a progression backwards, x' = x + (k - 1) d with step -d, gives
     partials[-d] = the partials of the reversed list at d.  A mirror list
-    (``_mirrored``) is its own reverse, so partials[n - d] = partials[d]: it
-    computes only d = 0 .. (n - 1) / 2, with slices of length (n + 1) / 2,
-    and copies the rest, at half the cost.
+    (``_mirrored``) is its own reverse, so partials[n - d] = partials[d]: at
+    width (n + 1) / 2 it computes only d = 0 .. (n - 1) / 2 and copies the
+    rest, at half the cost.  Any other list needs width n.
     """
     n = arrays[0].shape[0]
-    width = (n + 1) // 2 if _mirrored(arrays) else n  # the steps d < width are computed
     dtype = np.result_type(*arrays)
-    p = int(np.argmin([np.count_nonzero(a) for a in arrays]))
     pivot = arrays[p]
-    copies = []  # (doubled c_j, s_j^-1 mod n) for each j != p
-    for j, a in enumerate(arrays):
-        if j != p:
-            s = (j - p) % n
-            c = a[s * np.arange(n, dtype=np.int64) % n]  # s, z < n < 2^31: no int64 wrap
-            copies.append((np.concatenate((c, c)), pow(s, -1, n)))
+    copies = [(np.concatenate((c, c)), u) for c, u in _dilated(arrays, p)]  # doubled c_j
     out = np.zeros(n, dtype=dtype)
     # buf is rewritten for every y; starting it on a 64-byte boundary keeps the
     # vector stores from splitting cache lines, which costs up to 1.5x otherwise.
@@ -226,7 +218,7 @@ _RUN_POINTS = 4
 
 
 def _sparsest_pair(sizes: list[int]) -> int:
-    """The position p whose adjacent pair (p, p + 1) has the least support product."""
+    """The position q whose pair (q, q + 1) has the least support product, the first on a tie."""
     return min(range(len(sizes) - 1), key=lambda i: sizes[i] * sizes[i + 1])
 
 
@@ -242,14 +234,14 @@ def _blocks(support: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], cuts, [support.size]))
 
 
-def _support_pair_sum(arrays: list[np.ndarray]) -> int | float | complex:
+def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex:
     """Sum over all (x, d) of prod_r arrays[r][(x + r*d) mod n], for int, real or complex arrays.
 
     k must be at least 4.  The sum runs over the supports of the adjacent
-    pair (p, p + 1) with the least product of support sizes: (x, d) -> (y, z)
-    = (x + p d, x + (p + 1) d) is a bijection of Z_n^2, so y in supp(a_p) and
-    z in supp(a_{p+1}) fix d = z - y, and input r is read at x + r d =
-    (1 - e) y + e z with e = r - p.  That index lies within |e| + |1 - e|
+    pair (q, q + 1), any pair (``_kernel_route`` passes the sparsest):
+    (x, d) -> (y, z) = (x + q d, x + (q + 1) d) is a bijection of Z_n^2, so
+    y in supp(a_q) and z in supp(a_{q+1}) fix d = z - y, and input r is read
+    at x + r d = (1 - e) y + e z with e = r - q.  That index lies within |e| + |1 - e|
     periods, so each other input is one gather from a copy tiled that many
     times, read at a fixed multiple-of-n offset.
 
@@ -262,7 +254,7 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float | complex:
     ``_PAIR_CHUNK`` of them at a time.  The kept pairs are gathered: for
     each block I, the rows y in I against the points of its kept blocks J,
     in increasing order.  The cost is (k - 2) gathered elements per kept
-    (y, z), at most (k - 2) |supp(a_p)| |supp(a_{p+1})|.  Skipped pairs add
+    (y, z), at most (k - 2) |supp(a_q)| |supp(a_{q+1})|.  Skipped pairs add
     only exact zeros, so integer inputs stay exact for k <= 5 and n < 2^31
     with every input in [-64, 64] but one in [-128, 128] (a mode split's
     deviation): an entry of prod @ v is at most n * 128 * 64^(k-2) <= 2^56
@@ -271,31 +263,29 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float | complex:
     """
     n = arrays[0].shape[0]
     terms = [np.zeros(0, dtype=np.result_type(*arrays))]  # no kept pair: 0 of the result type
-    supports = [np.flatnonzero(a) for a in arrays]
-    p = _sparsest_pair([s.size for s in supports])
-    ys, zs = supports[p], supports[p + 1]
+    ys, zs = np.flatnonzero(arrays[q]), np.flatnonzero(arrays[q + 1])
     if not (ys.size and zs.size):
         return _reduce(terms[0])
-    u, v = arrays[p][ys], arrays[p + 1][zs]
+    u, v = arrays[q][ys], arrays[q + 1][zs]
     y_bounds, z_bounds = _blocks(ys), _blocks(zs)
     y_first, y_last = ys[y_bounds[:-1]], ys[y_bounds[1:] - 1]
     z_first, z_last = zs[z_bounds[:-1]], zs[z_bounds[1:] - 1]
     z_sizes = np.diff(z_bounds)
     gathers = []  # (tiled a_r, row offsets (1 - e) y + shift, column offsets e z)
-    windows = []  # (e, prefix count of supp(a_r) over one period, |supp(a_r)|)
+    windows = []  # (e, prefix count of supp(a_r) over one period, prefix[n] = |supp(a_r)|)
     for r, a in enumerate(arrays):
-        e = r - p
+        e = r - q
         if e not in (0, 1):
             shift = n * max(e - 1, -e)  # the least multiple of n that keeps every index >= 0
             gathers.append((np.tile(a, abs(e) + abs(1 - e)), (1 - e) * ys + shift, e * zs))
             prefix = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(a != 0, out=prefix[1:])
-            windows.append((e, prefix, supports[r].size))
+            windows.append((e, prefix))
     block_rows = max(1, _PAIR_CHUNK // z_first.size)
     for top in range(0, y_first.size, block_rows):
         first, last = y_first[top : top + block_rows, None], y_last[top : top + block_rows, None]
         keep = np.ones((first.shape[0], z_first.size), dtype=bool)
-        for e, prefix, size in windows:
+        for e, prefix in windows:
             # (1 - e) and e have opposite signs, so the window's ends are
             # reached at opposite corners of the block pair
             if e < 0:
@@ -304,7 +294,7 @@ def _support_pair_sum(arrays: list[np.ndarray]) -> int | float | complex:
                 lo, hi = (1 - e) * last + e * z_first, (1 - e) * first + e * z_last
             ends = np.stack((lo, hi + 1))
             laps, at = np.divmod(ends, n)
-            below = laps * size + prefix[at]  # support points below each end, counted from 0
+            below = laps * prefix[n] + prefix[at]  # support points below each end, counted from 0
             keep &= below[1] > below[0]
         for i, kept in enumerate(keep, start=top):
             cols = np.flatnonzero(np.repeat(kept, z_sizes))
@@ -455,14 +445,14 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     return _reduce(g * conv[at])
 
 
-def _slice_sum(arrays: list[np.ndarray]) -> int | float | complex:
-    """The slice kernel's partials summed over d.
+def _slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int | float | complex:
+    """The slice kernel's partials at pivot p and step width ``width`` summed over d.
 
     An exact per-d sum is at most n * 128 * 64^4 < 2^62 for n < 2^31 (one
     input may be a split's deviation, in [-128, 128]), so int64 holds it; the
     sum over d can pass 2^63, so ``_reduce`` sums it in Python integers.
     """
-    return _reduce(_per_d_partials(arrays))
+    return _reduce(_per_d_partials(arrays, p, width))
 
 
 def _is_indicator(a: np.ndarray) -> bool:
@@ -470,43 +460,37 @@ def _is_indicator(a: np.ndarray) -> bool:
     return a.dtype == np.int64 and not (a.view(np.uint64) > 1).any()
 
 
-def _packed_slice_sum(arrays: list[np.ndarray]) -> int:
+def _packed_slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int:
     """The slice kernel's sum over d for int64 inputs with values in {0, 1}, 64 steps d per word.
 
-    The structure is ``_per_d_partials``': the pivot p is the sparsest input,
-    input j != p is read from its dilated copy c_j(z) = a_j(s_j z), repeated
-    periodically, at offset t = y s_j^-1 mod n for a pivot row y, and a
-    mirror list computes only the steps d < width = (n + 1) / 2.  On 0/1
-    values the product over the inputs is an AND and the sum over d a
-    popcount.  Each copy becomes a (64, words) uint64 table whose row b
-    holds the copy packed from bit b, bit i of word w being c_j(b + 64 w + i),
-    so the slice from bit t is the window of ceil(width / 64) words from word
-    t >> 6 of row t & 63.  The pivot rows are gathered about ``_PAIR_CHUNK``
-    words at a time: one window per input, ANDed in place, the last word
-    masked to the width, and popcounted.  On a mirror list the total is
-    2 T - Z, T the popcount over d < width and Z its d = 0 term (bit 0 of
-    each row), the number of x where every input is 1.  The sum is counted
-    in Python integers, so it is exact at every n.
+    The structure is ``_per_d_partials``': the pivot p, the steps d < width
+    (width < n only on a mirror list), and input j != p read from its
+    dilated copy c_j (``_dilated``), repeated periodically, at offset
+    t = y s_j^-1 mod n for a pivot row y.  On 0/1 values the product over
+    the inputs is an AND and the sum over d a popcount.  Each copy becomes a
+    (64, words) uint64 table whose row b holds the copy packed from bit b,
+    bit i of word w being c_j(b + 64 w + i), so the slice from bit t is the
+    window of ceil(width / 64) words from word t >> 6 of row t & 63.  The
+    pivot rows are gathered about ``_PAIR_CHUNK`` words at a time: one window
+    per input, ANDed in place, the last word masked to the width, and
+    popcounted.  On a mirror list the total is 2 T - Z, T the popcount over
+    d < width and Z its d = 0 term (bit 0 of each row), the number of x
+    where every input is 1.  The sum is counted in Python integers, so it is
+    exact at every n.
     """
     n = arrays[0].shape[0]
-    mirrored = _mirrored(arrays)
-    width = (n + 1) // 2 if mirrored else n
     window = -(-width // 64)
     words = (n - 1) // 64 + window  # the window from any offset t < n ends inside them
     shifts = np.arange(1, 64, dtype=np.uint64)[:, None]
-    p = int(np.argmin([np.count_nonzero(a) for a in arrays]))
     support = np.flatnonzero(arrays[p])
     tables = []  # (every window of c_j's table, s_j^-1 mod n) for each j != p
-    for j, a in enumerate(arrays):
-        if j != p:
-            s = (j - p) % n
-            c = a[s * np.arange(n, dtype=np.int64) % n].astype(np.uint8)  # s, z < n < 2^31
-            # c repeated over every word a window reads, plus one for the shifts
-            packed = np.packbits(np.resize(c, 64 * (words + 1)), bitorder="little").view("<u8")
-            table = np.empty((64, words), dtype=np.uint64)
-            table[0] = packed[:words]
-            table[1:] = (packed[:words] >> shifts) | (packed[1:] << (64 - shifts))
-            tables.append((sliding_window_view(table, window, axis=1), pow(s, -1, n)))
+    for c, u in _dilated(arrays, p):
+        bits = np.resize(c.astype(np.uint8), 64 * (words + 1))  # every word read, plus one
+        packed = np.packbits(bits, bitorder="little").view("<u8")
+        table = np.empty((64, words), dtype=np.uint64)
+        table[0] = packed[:words]
+        table[1:] = (packed[:words] >> shifts) | (packed[1:] << (64 - shifts))
+        tables.append((sliding_window_view(table, window, axis=1), u))
     mask = np.uint64((1 << (width - 64 * (window - 1))) - 1)  # the last word's steps d < width
     (first, u0), *rest = tables
     total = zero = 0
@@ -521,34 +505,41 @@ def _packed_slice_sum(arrays: list[np.ndarray]) -> int:
         acc[:, -1] &= mask
         total += int(np.bitwise_count(acc).sum())
         zero += int(np.count_nonzero(acc[:, 0] & np.uint64(1)))
-    return 2 * total - zero if mirrored else total
+    return 2 * total - zero if width < n else total
 
 
 def _kernel_route(arrays: list[np.ndarray], sizes: list[int]):
-    """(cost, route): the cheaper j >= 4 kernel for inputs with support sizes s_r = sizes[r].
+    """(cost, route) for a j >= 4 list with support sizes s_r = sizes[r]: route() is its sum.
 
-    The slice kernel costs (k - 1) min(s) n contiguous products, half that on
-    a mirror list, and the support-pair sum at most (k - 2) s_p s_{p+1}
-    gathers, fewer when it skips block pairs; one gather costs about five
-    contiguous products.  When every input is int64 with values in {0, 1},
-    the packed slice kernel replaces the slice kernel, at (k - 1) min(s)
-    ceil(width / 64) gathered words (width n, or (n + 1) / 2 on a mirror
-    list); one gathered word costs about nine contiguous products.  The rule
-    charges every pair, skipped or not, so it depends on sizes, n and
-    whether the inputs are 0/1 alone.
+    The one place that works out what a j >= 4 kernel rests on: the pivot p,
+    the first position of min(s); the adjacent pair (q, q + 1) with the least
+    s_q s_{q+1} (``_sparsest_pair``); the step width, (n + 1) / 2 on a mirror
+    list (``_mirrored``), else n; and whether every input is int64 with
+    values in {0, 1} (``_is_indicator``).  route is the cheaper kernel, bound
+    to the p or q and the width that its cost was charged for.  In contiguous
+    products, the slice kernel costs (k - 1) s_p n, half that on a mirror
+    list; on 0/1 inputs the packed slice kernel replaces it, at nine per
+    gathered word, 9 (k - 1) s_p ceil(width / 64); and the support-pair sum,
+    at five per gather, costs at most 5 (k - 2) s_q s_{q+1} and is taken
+    when that is below the slice kernel's, packed or not: on the interval and
+    modulated signals (support about 5% of Z_n) and on 0/1 sets of density
+    below about 0.02, while dense signals and denser sets take a slice
+    kernel.  The rule charges every pair, skipped or not, so it depends on
+    k, the sizes, n and whether the inputs are 0/1 alone.
     """
     k, n = len(arrays), arrays[0].shape[0]
-    p = _sparsest_pair(sizes)
-    pair_cost = 5 * (k - 2) * sizes[p] * sizes[p + 1]
+    p = sizes.index(min(sizes))
+    q = _sparsest_pair(sizes)
     mirrored = _mirrored(arrays)
+    width = (n + 1) // 2 if mirrored else n
+    pair_cost = 5 * (k - 2) * sizes[q] * sizes[q + 1]
     if all(_is_indicator(a) for a in arrays):
-        width = (n + 1) // 2 if mirrored else n
-        cost, route = 9 * (k - 1) * min(sizes) * -(-width // 64), _packed_slice_sum
+        cost, kernel = 9 * (k - 1) * sizes[p] * -(-width // 64), _packed_slice_sum
     else:
-        cost, route = (k - 1) * min(sizes) * n / (2 if mirrored else 1), _slice_sum
+        cost, kernel = (k - 1) * sizes[p] * n / (2 if mirrored else 1), _slice_sum
     if pair_cost < cost:
-        return pair_cost, _support_pair_sum
-    return cost, route
+        return pair_cost, functools.partial(_support_pair_sum, arrays, q)
+    return cost, functools.partial(kernel, arrays, p, width)
 
 
 def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
@@ -591,8 +582,22 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
             first[r] = np.full(n, mode, dtype=arrays[r].dtype)
             second[r] = arrays[r] - mode
             sizes[r] = off
-            return _pattern_sum(first, modes) + _kernel_route(second, sizes)[1](second)
-    return route(arrays)
+            return _pattern_sum(first, modes) + _kernel_route(second, sizes)[1]()
+    return route()
+
+
+def _require_float_range(arrays: list[np.ndarray]) -> None:
+    """Raise ValueError unless n^2 (2 max|v|)^k < 2^1023 for these k float inputs.
+
+    A mode split's deviation a_r - m_r is at most 2 max|v|, so every product
+    of k inputs, every sum of them over the n^2 pairs (x, d) and the sum of
+    a split's at most five terms stay below 2^1023, and no kernel overflows.
+    NaN and inf fail the test.
+    """
+    n, k = arrays[0].shape[0], len(arrays)
+    top = max(float(np.maximum(a.max(), -a.min())) for a in arrays)  # max|v|, NaN kept
+    if not top < 2.0 ** ((1023 - 2 * math.log2(n)) / k - 1):  # the bound in logarithms
+        raise ValueError(f"float inputs need n^2 (2 max|v|)^k < 2^1023, got max|v| = {top:g}")
 
 
 def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
@@ -608,27 +613,19 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
       otherwise;
     - j >= 4 first splits the input r with the fewest points o_r off its
       nonzero mode m_r, searched only on inputs with support above n / 2,
-      when (k - 1) o_r n is below the cost of the route below: the term with
-      a_r set to m_r re-enters this list, and the term with a_r - m_r takes
-      the route below, unsplit;
-    - else j >= 4 takes the support-pair sum when
-      5 (k - 2) s_p s_{p+1} < (k - 1) min(s) n, with the right side halved
-      when the inputs read the same reversed (s_r the support sizes,
-      (p, p + 1) the adjacent pair with the least product), else the per-d
-      slice kernel, which computes only half the steps of such a mirror
-      list.  When every input is int64 with values in {0, 1}, the right
-      side is 9 (k - 1) min(s) ceil(width / 64), width n or (n + 1) / 2 on
-      a mirror list, and the packed slice kernel, 64 steps d per word,
-      replaces the per-d one.  The rule charges the support-pair sum for
-      all s_p s_{p+1} pairs, though it skips the block pairs that hold no
-      progression.
+      when (k - 1) o_r n is below the cost that ``_kernel_route`` charges
+      the unsplit list: the term with a_r set to m_r re-enters this list,
+      and the term with a_r - m_r takes its own route below, unsplit;
+    - else j >= 4 takes the kernel that ``_kernel_route`` picks, by the rule
+      its docstring states: the support-pair sum or a slice kernel.
 
     Every choice depends on the values' sizes, modes and n alone, and is the
-    same for exact and float inputs, but for the packed slice kernel, which
-    takes exact 0/1 inputs only; otherwise only the reduction (Python
-    integers or compensated summation) and the j = 3 convolution's rounding
-    differ.  That rounding depends on the exact inputs' values and n alone:
-    their norms and the FFT's result.
+    same for exact and float inputs, but for the packed slice kernel, 64
+    steps per word, which takes exact 0/1 inputs only; otherwise only the
+    reduction (Python integers or compensated summation) and the j = 3
+    convolution's rounding differ.  That rounding depends on the exact
+    inputs' values and n alone: their norms and the FFT's result.  Float
+    inputs are checked by ``_require_float_range``, so no sum can overflow.
     """
     k = len(signals)
     if k not in (3, 4, 5):
@@ -644,6 +641,8 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     if exact and any(int(s.values.min()) < -64 or int(s.values.max()) > 64 for s in signals):
         raise ValueError("exact kernel requires integer values in [-64, 64]")
     arrays = [s.values if exact else s.values.astype(np.float64, copy=False) for s in signals]
+    if not exact:
+        _require_float_range(arrays)
     result = _pattern_sum(arrays, {})
     return ApMean(result / (n * n), result if exact else None, n * n)
 
@@ -655,10 +654,8 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
     invertible since n is odd), so the mean is a plain 4-AP mean of
     phase-weighted copies of s.  The copies keep the support of s, and they
-    take the j >= 4 kernel that ``_kernel_route`` picks from its size: on the
-    sparse interval signal F the support-pair sum, which skips the run pairs
-    that hold no progression, and on a dense signal the slice kernel, at
-    |supp(s)| * n complex products.
+    take the j >= 4 kernel that ``_kernel_route`` picks: the support-pair sum
+    on the sparse interval signal F, the slice kernel on a dense signal.
     """
     if s.is_complex:
         raise ValueError("expected a real signal")
@@ -670,9 +667,10 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     r = (w - v * half) * half % n
     p = (u - q - r) % n
     vals = s.values.astype(np.float64)
+    _require_float_range([vals] * 4)
     arrays = [vals * quadratic_phase_signal(m, c).values for c in (p, q, r)] + [vals]
     _, route = _kernel_route(arrays, [np.count_nonzero(a) for a in arrays])
-    return route(arrays) / (n * n)
+    return route() / (n * n)
 
 
 def linear_form_mean_fourier(b: ZnSignal) -> float:

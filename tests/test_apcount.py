@@ -1,5 +1,6 @@
 """Exact and floating progression-counting kernels against brute-force oracles."""
 
+import functools
 import itertools
 import math
 import operator
@@ -16,6 +17,7 @@ from ap4kit.apcount import (
     _mirrored,
     _packed_slice_sum,
     _per_d_partials,
+    _slice_sum,
     _smooth_length,
     _sparsest_pair,
     _support_pair_sum,
@@ -56,6 +58,19 @@ def _brute_partials(arrays):
             total += prod
         partials.append(total)
     return partials
+
+
+def _slice_args(arrays):
+    """(arrays, p, width) as ``_kernel_route`` binds them for a slice kernel: the
+    sparsest input as the pivot (the first on a tie), and half the steps on a mirror list."""
+    n = len(arrays[0])
+    p = int(np.argmin([np.count_nonzero(a) for a in arrays]))
+    return arrays, p, (n + 1) // 2 if _mirrored(arrays) else n
+
+
+def _pair_args(arrays):
+    """(arrays, q) as ``_kernel_route`` binds them for the support-pair sum."""
+    return arrays, _sparsest_pair([np.count_nonzero(a) for a in arrays])
 
 
 def _kronecker_three_input_sum(free):
@@ -153,6 +168,47 @@ class TestApkMeanZn:
             with pytest.raises(ValueError):
                 k.apk_mean_zn([k.ZnSignal(m, vals)] * count)
 
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    def test_overflowing_floats_rejected(self, count):
+        # a sum that could pass 2^1023 is an input error before any kernel runs, and so
+        # are NaN and inf; 1e77 on three points of Z_101 overflows from k = 4 on
+        m = k.make_modulus(7)
+        for top in (1e300, np.nan, np.inf, -np.inf):
+            vals = np.full(7, 0.5)
+            vals[:2] = top, 2.0
+            with pytest.raises(ValueError):
+                k.apk_mean_zn([k.ZnSignal(m, vals)] * count)
+        vals = np.zeros(101)
+        vals[:3] = 1e77
+        signal = k.ZnSignal(k.make_modulus(101), vals)
+        if count == 3:
+            assert math.isfinite(k.apk_mean_zn([signal] * count).value)
+        else:
+            with pytest.raises(ValueError):
+                k.apk_mean_zn([signal] * count)
+
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    def test_floats_below_the_bound_accepted(self, count):
+        # just below n^2 (2 max|v|)^k = 2^1023, on a dense input split at its mode
+        # (a deviation of 2 max|v|) and on a sparse one; no kernel overflows
+        n = 101
+        top = 0.99 * 2.0 ** ((1023 - 2 * math.log2(n)) / count - 1)
+        dense = np.full(n, -top)
+        dense[:3] = top
+        sparse = np.zeros(n)
+        sparse[[0, 1, 2, 3, 50]] = top
+        for vals in (dense, sparse):
+            mean = k.apk_mean_zn([k.ZnSignal(k.make_modulus(n), vals)] * count)
+            assert math.isfinite(mean.value)
+
+    def test_modulated_mean_rejects_overflowing_floats(self):
+        m = k.make_modulus(101)
+        for top in (1e77, np.nan, np.inf):
+            vals = np.zeros(101)
+            vals[:3] = top
+            with pytest.raises(ValueError):
+                k.modulated_ap4_mean(k.ZnSignal(m, vals), (1, 2, 3))
+
     def test_modulus_mismatch(self):
         a = k.constant_signal(k.make_modulus(11), 1)
         b = k.constant_signal(k.make_modulus(13), 1)
@@ -210,7 +266,7 @@ class TestApkMeanZn:
         for partials, want in (([2**62, 2**62], 2**63), ([2**62, 2**62, 1], 2**63 + 1)):
             monkeypatch.setattr(
                 "ap4kit.apcount._per_d_partials",
-                lambda arrays, partials=partials: np.array(partials, dtype=np.int64),
+                lambda arrays, p, width, partials=partials: np.array(partials, dtype=np.int64),
             )
             numerator = k.apk_mean_zn(signals).exact_numerator
             assert type(numerator) is int
@@ -297,22 +353,36 @@ def _mirror_cases(n, dtype, seed):
             yield near, False
 
 
-def _forbidden(arrays):
+def _forbidden(*args):
     raise AssertionError("kernel called")
 
 
 class TestKernel:
-    """The per-d kernel against a plain double sum over (x, d)."""
+    """The per-d kernel, its sum over d and the support-pair sum against a plain double sum
+    over (x, d).  Any pivot, pair and admitted width gives the same sum, so each is checked."""
 
     @staticmethod
     def _check(arrays, dtype):
-        got = _per_d_partials(arrays)
-        assert got.dtype == dtype
+        # every pivot p at width n, and at (n + 1) / 2 too on a mirror list; every pair q
+        n, count = len(arrays[0]), len(arrays)
         want = _brute_partials([a.tolist() for a in arrays])
-        if dtype == np.int64:
-            assert got.tolist() == want
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        widths = (n, (n + 1) // 2) if _mirrored(arrays) else (n,)
+        for p, width in itertools.product(range(count), widths):
+            got = _per_d_partials(arrays, p, width)
+            assert got.dtype == dtype
+            total = _slice_sum(arrays, p, width)
+            if dtype == np.int64:
+                assert got.tolist() == want
+                assert type(total) is int and total == sum(want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                assert total == pytest.approx(sum(want), rel=1e-12, abs=1e-9)
+        for q in range(count - 1) if count >= 4 else ():
+            total = _support_pair_sum(arrays, q)
+            if dtype == np.int64:
+                assert type(total) is int and total == sum(want)
+            else:
+                assert total == pytest.approx(sum(want), rel=1e-12, abs=1e-9)
 
     @pytest.mark.parametrize("n", [5, 7, 11, 101])
     @pytest.mark.parametrize("count", [3, 4, 5])
@@ -574,7 +644,7 @@ class TestSupportPairSum:
             arrays = [values(sparse if i in (p, p + 1) else denser, wide) for i in range(count)]
             assert _sparsest_pair([np.count_nonzero(a) for a in arrays]) == p
             want = sum(_brute_partials([a.tolist() for a in arrays]))
-            got = _support_pair_sum(arrays)
+            got = _support_pair_sum(*_pair_args(arrays))
             if dtype == np.int64:
                 assert type(got) is int
                 assert got == want
@@ -583,7 +653,7 @@ class TestSupportPairSum:
         # an all-zero input is a pivot of the pair it belongs to
         arrays = [values(0 if i == count - 1 else denser, False) for i in range(count)]
         assert _sparsest_pair([np.count_nonzero(a) for a in arrays]) == count - 2
-        assert _support_pair_sum(arrays) == 0
+        assert _support_pair_sum(*_pair_args(arrays)) == 0
 
 
 def _runs(rng, n, count):
@@ -630,7 +700,7 @@ class TestBlocks:
                 # four runs, the wrapping one cut in two at 0
                 assert len(_blocks(support)) - 1 == 5
             want = sum(_brute_partials([a.tolist() for a in arrays]))
-            got = _support_pair_sum(arrays)
+            got = _support_pair_sum(*_pair_args(arrays))
             if dtype == np.int64:
                 assert type(got) is int
                 assert got == want
@@ -645,7 +715,7 @@ class TestBlocks:
         for r, (start, value) in enumerate(((0, 3), (0, -2), (50, 5), (20, 1))):
             arrays[r][start : start + 4] = value
         assert sum(_brute_partials([a.tolist() for a in arrays])) == 0
-        got = _support_pair_sum(arrays)
+        got = _support_pair_sum(*_pair_args(arrays))
         assert got == 0
         assert type(got) is {np.int64: int, np.float64: float, np.complex128: complex}[dtype]
 
@@ -663,10 +733,11 @@ class TestBlocks:
     def test_constructions_match_slice_kernel(self, count):
         m = k.make_modulus(10007)
         f = k.build_interval_signal(m).values
-        assert _support_pair_sum([f] * count) == sum(_per_d_partials([f] * count).tolist())
+        oracle = sum(_per_d_partials(*_slice_args([f] * count)).tolist())
+        assert _support_pair_sum(*_pair_args([f] * count)) == oracle
         g = k.build_modulated_signal(m).values
-        oracle = math.fsum(_per_d_partials([g] * count).tolist())
-        assert _support_pair_sum([g] * count) == pytest.approx(oracle, rel=1e-12)
+        oracle = math.fsum(_per_d_partials(*_slice_args([g] * count)).tolist())
+        assert _support_pair_sum(*_pair_args([g] * count)) == pytest.approx(oracle, rel=1e-12)
 
 
 def _indicator(rng, n, density):
@@ -699,9 +770,9 @@ class TestPackedSliceSum:
         # width < 64 at n <= 11; at n = 127 a mirror list's width is exactly one word
         for arrays, mirrored in _packed_cases(n, count, seed=n + count):
             assert _mirrored(arrays) is mirrored
-            got = _packed_slice_sum(arrays)
+            got = _packed_slice_sum(*_slice_args(arrays))
             assert type(got) is int
-            assert got == sum(_per_d_partials(arrays).tolist())
+            assert got == sum(_per_d_partials(*_slice_args(arrays)).tolist())
             assert got == sum(_brute_partials([a.tolist() for a in arrays]))
 
     @pytest.mark.parametrize("n", [1009, 20011])
@@ -716,12 +787,25 @@ class TestPackedSliceSum:
                 width = (n + 1) // 2 if _mirrored(arrays) else n
                 pivot = min(np.count_nonzero(v) for v in arrays)
                 assert pivot > apcount._PAIR_CHUNK // -(-width // 64)
-            assert _packed_slice_sum(arrays) == sum(_per_d_partials(arrays).tolist())
+            oracle = sum(_per_d_partials(*_slice_args(arrays)).tolist())
+            assert _packed_slice_sum(*_slice_args(arrays)) == oracle
 
     def test_empty_pivot(self):
         n = 11
         arrays = [np.ones(n, dtype=np.int64)] * 3 + [np.zeros(n, dtype=np.int64)]
-        assert _packed_slice_sum(arrays) == 0
+        assert _packed_slice_sum(*_slice_args(arrays)) == 0
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 101])
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_every_pivot_matches_slice_kernel(self, n, count):
+        # every pivot p at width n, and at (n + 1) / 2 too on a mirror list
+        for arrays, mirrored in _packed_cases(n, count, seed=10 * n + count):
+            want = sum(_brute_partials([a.tolist() for a in arrays]))
+            widths = (n, (n + 1) // 2) if mirrored else (n,)
+            for p, width in itertools.product(range(count), widths):
+                got = _packed_slice_sum(arrays, p, width)
+                assert type(got) is int
+                assert got == sum(_per_d_partials(arrays, p, width).tolist()) == want
 
 
 class TestRouting:
@@ -730,7 +814,8 @@ class TestRouting:
     @pytest.mark.parametrize("build", [k.build_interval_signal, k.build_modulated_signal])
     def test_sparse_signals_take_support_pairs(self, monkeypatch, build):
         s = build(k.make_modulus(10007))
-        oracle = math.fsum(_per_d_partials([s.values.astype(np.float64)] * 4).tolist())
+        floats = [s.values.astype(np.float64)] * 4
+        oracle = math.fsum(_per_d_partials(*_slice_args(floats)).tolist())
         monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
         mean = k.apk_mean_zn([s] * 4)
         assert mean.value * 10007**2 == pytest.approx(oracle, rel=1e-12)
@@ -744,7 +829,7 @@ class TestRouting:
         # density about 0.01: 5 (k - 2) s^2 = 0.1 s n is below the packed slice
         # kernel's 9 (k - 1) s ceil(n / 128) = 0.21 s n
         s = k.quadratic_level_set(k.make_modulus(10007), 0.005)
-        oracle = sum(_per_d_partials([s.values] * 4).tolist())
+        oracle = sum(_per_d_partials(*_slice_args([s.values] * 4)).tolist())
         monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
         monkeypatch.setattr("ap4kit.apcount._packed_slice_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
@@ -755,7 +840,7 @@ class TestRouting:
         # not a 0/1 input and the packed kernel does not apply
         m = k.make_modulus(10007)
         s = k.ZnSignal(m, -k.quadratic_level_set(m, 0.1).values)
-        oracle = _support_pair_sum([s.values] * 4)
+        oracle = _support_pair_sum(*_pair_args([s.values] * 4))
         monkeypatch.setattr("ap4kit.apcount._support_pair_sum", _forbidden)
         assert k.apk_mean_zn([s] * 4).exact_numerator == oracle
 
@@ -767,12 +852,13 @@ class TestRouting:
         sets = [k.quadratic_level_set(m, 0.05), k.quadratic_level_set(m, 0.2)]
         sets += [k.sample_indicator(p, k.RngStream(seed)) for seed in (0, 1)]
         for s in sets:
-            oracle = sum(_per_d_partials([s.values] * count).tolist())
+            oracle = sum(_per_d_partials(*_slice_args([s.values] * count)).tolist())
             with monkeypatch.context() as patch:
                 recorder = _Recorder(patch)
                 assert k.apk_mean_zn([s] * count).exact_numerator == oracle
             assert [name for name, _ in recorder.calls] == ["_packed_slice_sum"]
             assert all(a is s.values for a in recorder.calls[0][1])
+            assert recorder.bound == [(0, (m.n + 1) // 2)]  # equal supports, a mirror list
 
     def test_other_signals_never_take_packed_route(self, monkeypatch):
         # F (exact), G (float), P (split at 1/2) and signed +/-1 inputs
@@ -790,10 +876,11 @@ class TestRouting:
         # the phase-weighted copies keep F's sparse support, so they take the pair route
         f = k.build_interval_signal(k.make_modulus(10007))
         patterns = [(0, 0, 4), (0, 0, 12), (1, 2, 3)]
+        def slice_route(arrays, sizes):
+            return 0, functools.partial(apcount._slice_sum, *_slice_args(arrays))
+
         with monkeypatch.context() as slice_only:
-            slice_only.setattr(
-                "ap4kit.apcount._kernel_route", lambda arrays, sizes: (0, apcount._slice_sum)
-            )
+            slice_only.setattr("ap4kit.apcount._kernel_route", slice_route)
             oracles = [k.modulated_ap4_mean(f, uvw) for uvw in patterns]
         monkeypatch.setattr("ap4kit.apcount._per_d_partials", _forbidden)
         for uvw, oracle in zip(patterns, oracles):
@@ -842,16 +929,19 @@ def _split_cases(n, count, dtype, seed):
 
 
 class _Recorder:
-    """Records the arrays handed to each kernel route (and runs it, unless stubbed)."""
+    """Records the arrays handed to each kernel route and the pivot, pair or width bound with
+    them (and runs it, unless stubbed)."""
 
     def __init__(self, monkeypatch, stub=False):
-        self.calls = []
+        self.calls = []  # (name, arrays or free inputs)
+        self.bound = []  # the arguments after them: (p, width), (q,) or ()
         for name in ("_slice_sum", "_packed_slice_sum", "_support_pair_sum", "_three_input_sum"):
             original = getattr(apcount, name)
 
-            def record(arrays, name=name, original=original):
+            def record(arrays, *bound, name=name, original=original):
                 self.calls.append((name, arrays))
-                return 0 if stub else original(arrays)
+                self.bound.append(bound)
+                return 0 if stub else original(arrays, *bound)
 
             monkeypatch.setattr(f"ap4kit.apcount.{name}", record)
         self.searched = []
@@ -880,7 +970,7 @@ class TestModeSplit:
     def test_exact_matches_unsplit_kernel_and_brute_force(self, monkeypatch, n, count):
         for arrays in _split_cases(n, count, np.int64, seed=n + count):
             m = k.make_modulus(n)
-            unsplit = sum(_per_d_partials(arrays).tolist())
+            unsplit = sum(_per_d_partials(*_slice_args(arrays)).tolist())
             assert unsplit == sum(_brute_partials([a.tolist() for a in arrays]))
             signals = [k.ZnSignal(m, a) for a in arrays]
             with monkeypatch.context() as patch:
@@ -897,7 +987,7 @@ class TestModeSplit:
     def test_float_matches_unsplit_kernel_and_brute_force(self, monkeypatch, n, count):
         for arrays in _split_cases(n, count, np.float64, seed=n + count):
             m = k.make_modulus(n)
-            unsplit = math.fsum(_per_d_partials(arrays).tolist())
+            unsplit = math.fsum(_per_d_partials(*_slice_args(arrays)).tolist())
             brute = math.fsum(_brute_partials([a.tolist() for a in arrays]))
             signals = [k.ZnSignal(m, a) for a in arrays]
             with monkeypatch.context() as patch:
@@ -924,6 +1014,7 @@ class TestModeSplit:
         assert [name for name, _ in recorder.calls] == ["_three_input_sum", "_support_pair_sum"]
         deviation = recorder.kernels()[0][1][0]
         assert np.array_equal(deviation, dense + 64)
+        assert recorder.bound == [(), (0,)]  # sizes 2, 10, 10, 101: the pair (0, 1)
 
     @pytest.mark.parametrize("count", [4, 5])
     def test_probability_signal_splits_once_per_level(self, monkeypatch, count):
@@ -1010,14 +1101,64 @@ class TestModeSplit:
         for rest, sign in (([plus] * (count - 1), 1), ([minus] + [plus] * (count - 2), -1)):
             for at in range(count):
                 arrays = rest[:at] + [deviation] + rest[at:]
-                assert _per_d_partials(arrays).tolist() == [sign * top] * n
-                assert _support_pair_sum(arrays) == sign * n * top
+                assert _per_d_partials(*_slice_args(arrays)).tolist() == [sign * top] * n
+                assert _support_pair_sum(*_pair_args(arrays)) == sign * n * top
         # the exact route on -64 with one +64 point, split there
         vals = np.full(n, -64, dtype=np.int64)
         vals[3] = 64
         want = sum(_brute_partials([vals.tolist()] * count))
         signal = k.ZnSignal(k.make_modulus(n), vals)
         assert k.apk_mean_zn([signal] * count).exact_numerator == want
+
+
+class TestRouteFacts:
+    """One j >= 4 decision works out the mirror test and the sparsest pair once each, in
+    ``_kernel_route``; no kernel works out any of them again."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(facts, kernels): each fact call with whether a kernel was running, and the kernels run."""
+        facts, kernels, running = [], [], []
+        for name in ("_per_d_partials", "_slice_sum", "_packed_slice_sum", "_support_pair_sum"):
+
+            def kernel(*args, name=name, original=getattr(apcount, name)):
+                if not running:
+                    kernels.append(name)
+                running.append(name)
+                try:
+                    return original(*args)
+                finally:
+                    running.pop()
+
+            monkeypatch.setattr(f"ap4kit.apcount.{name}", kernel)
+        for name in ("_mirrored", "_sparsest_pair", "_is_indicator"):
+
+            def fact(*args, name=name, original=getattr(apcount, name)):
+                facts.append((name, bool(running)))
+                return original(*args)
+
+            monkeypatch.setattr(f"ap4kit.apcount.{name}", fact)
+        return facts, kernels
+
+    def test_each_decision_once(self, monkeypatch):
+        m = k.make_modulus(10007)
+        a = k.sample_indicator(k.build_probability_signal(m), k.RngStream(42))
+        f, p = k.build_interval_signal(m), k.build_probability_signal(m)
+        cases = [  # (call, the kernels it runs, one per decision)
+            (lambda: k.apk_mean_zn([a] * 4), ["_packed_slice_sum"]),
+            (lambda: k.apk_mean_zn([f] * 4), ["_support_pair_sum"]),
+            (lambda: k.apk_mean_zn([p] * 4), ["_slice_sum"]),  # the split's second term
+            (lambda: k.modulated_ap4_mean(f, (1, 2, 3)), ["_support_pair_sum"]),
+        ]
+        for call, want in cases:
+            with monkeypatch.context() as patch:
+                facts, kernels = self._spy(patch)
+                call()
+            decisions = 2 if want == ["_slice_sum"] else 1  # [P] * 4 decides before its split
+            assert kernels == want
+            assert not any(inside for _, inside in facts)
+            for name in ("_mirrored", "_sparsest_pair"):
+                assert [n for n, _ in facts].count(name) == decisions
 
 
 class TestClosedForms:
@@ -1032,12 +1173,12 @@ class TestClosedForms:
             if mean.exact_numerator is not None:
                 assert all(s.exact for s in sigs)
                 assert type(mean.exact_numerator) is int
-                oracle = sum(_per_d_partials([s.values for s in sigs]).tolist())
+                oracle = sum(_per_d_partials(*_slice_args([s.values for s in sigs])).tolist())
                 assert mean.exact_numerator == oracle
                 assert mean.value == oracle / (n * n)
             else:
                 arrays = [s.values.astype(np.float64) for s in sigs]
-                oracle = math.fsum(_per_d_partials(arrays).tolist()) / (n * n)
+                oracle = math.fsum(_per_d_partials(*_slice_args(arrays)).tolist()) / (n * n)
                 # relative past 1: a mean of +/-64 inputs reaches 5.6e8, where an ulp is 1.2e-7
                 assert abs(mean.value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
@@ -1083,7 +1224,7 @@ class TestCyclicConvolution:
 
 def _ap4_mean_profile(s):
     """Per-d means: entry d is E_x s(x)s(x+d)s(x+2d)s(x+3d); their average is the 4-AP mean."""
-    return _per_d_partials([s.values.astype(np.float64)] * 4) / s.n
+    return _per_d_partials(*_slice_args([s.values.astype(np.float64)] * 4)) / s.n
 
 
 class TestProfile:

@@ -461,6 +461,19 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["3", "4", "5"])
+    def test_count_rejects_overflowing_floats(self, tmp_path, capsys, count):
+        # the sums would pass the largest float: an input error, not a crash or an inf mean;
+        # 1e77 on three points of Z_101 overflows from k = 4 on, 1e300 at every k
+        cases = [(7, [1e300, 2e300] + [0.5] * 5)]
+        if count != "3":
+            cases.append((101, [1e77] * 3 + [0] * 98))
+        for n, values in cases:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({"n": n, "values": values}))
+            assert main(["count", "--file", str(path), "--k", count]) == 2
+            assert "2^1023" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["3", "4", "5"])
     def test_count_rejects_int64_min(self, tmp_path, capsys, count):
         # np.abs(-2^63) is -2^63 again, so an abs-based [-64, 64] guard lets it through
         path = tmp_path / "wide.json"
