@@ -7,6 +7,7 @@ input error (unreadable or unwritable files included).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -33,6 +34,7 @@ from .spectra import dft, save_spectrum_csv
 gc.freeze()
 
 
+@functools.cache  # built once per process: several commands can run in one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ap4kit",

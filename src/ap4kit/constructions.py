@@ -249,10 +249,13 @@ def build_interval_signal(m: Modulus, block_length: int | None = None) -> ZnSign
 
     Block k (``interval_block(k, t)``) carries the constant value f(k) and
     every other residue is 0; an arithmetic progression can only pass
-    through blocks whose indices themselves form a progression, which pins
-    the exact 4-AP numerator at -72 * p(t) with p(t) the number of
-    progressions inside {1..t}.  ``block_length`` overrides the automatic
-    gate (used by small-modulus diagnostics); it must satisfy 600 t < n.
+    through blocks whose indices themselves form a progression.  When
+    878 t - 2 < n that pins the exact 4-AP numerator at -72 * p(t), with
+    p(t) the number of progressions inside {1..t}; the automatic
+    t = n // 1200 always meets that bound.  ``block_length`` overrides the
+    automatic gate (used by small-modulus diagnostics); it must satisfy
+    600 t < n, which keeps the blocks apart but not the identity: t = 2
+    gives -142 at n = 1753 and -126 at n = 1201, against -72 * p(2) = -144.
     """
     t = interval_block_length(m) if block_length is None else int(block_length)
     if t < 1 or 600 * t >= m.n:

@@ -4,8 +4,9 @@
 That sum is #nonzero(v) + 2 * (sum of the progression products), a sparse
 multilinear polynomial whose values on the whole cube are one fast transform
 of its coefficients: Walsh-Hadamard for +/-1, Yates' 2 -> 3 expansion for
-{-1,0,1}.  The transforms run over the low coordinates in blocks of 2^13 or
-3^8 int32 values (about 30 KB), one per assignment of the high coordinates.
+{-1,0,1}.  The transforms run over a middle run of coordinates in blocks of
+2^13-2^14 or 3^8-3^9 int32 values, one per orbit of the outer assignments
+under negation and reversal, which leave the sum unchanged.
 Correctness is anchored to the exact ``ap4_sum_z`` evaluator in tests.
 The grid designs are exact covers of the 72 off-diagonal lines by one
 permutation pattern per layer, found with bitmasks; validate_design confirms each.
@@ -60,45 +61,60 @@ def _yates(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _block_minimum(n: int, low: int, alphabet: tuple[int, ...], transform) -> SearchResult:
-    """Exact minimum of the 4-AP sum over alphabet^n, one block per assignment
-    of the n - low high coordinates.
+def _image(w: tuple[int, ...], flip: bool, sign: int) -> tuple[int, ...]:
+    """w reversed when ``flip``, times ``sign``: one element of {id, neg, rev, neg rev}."""
+    return tuple(sign * v for v in (w[::-1] if flip else w))
 
-    In a block each progression's product over its high coordinates is folded
-    into the coefficient of its low monomial, ``transform`` evaluates the line
-    sum at every low assignment (index sum_i digit_i base^i), and the
-    degenerate pairs add #nonzero.  |total| <= n + 2 * #progressions <= 192 at
-    the caps, far inside int32.
+
+def _block_minimum(n: int, low: int, alphabet: tuple[int, ...], transform) -> SearchResult:
+    """Exact minimum of the 4-AP sum over alphabet^n, one block per orbit of
+    the outer assignments under {id, neg, rev, neg rev}.
+
+    A block fixes the n - low outer positions, half on either side of a
+    middle run of ``low`` (grown by one when n - low is odd).  Each
+    progression's product over its outer positions is folded into the
+    coefficient of its middle monomial, ``transform`` gives the line sum at
+    every middle assignment (index sum_i digit_i base^i), and the degenerate
+    pairs add #nonzero: |total| <= 192 at the caps, inside int32.  Each
+    symmetry g maps the block of outer to the block of g(outer), witnesses to
+    g(witnesses), so only the least outer of each orbit is evaluated; a block
+    that g fixes holds a witness set closed under g.
     """
     low = min(low, n)
-    base = len(alphabet)
-    parts = sorted(  # (low monomial, high positions) of each progression, step > 0
-        (sum(1 << i for i in quad if i < low), [i - low for i in quad if i >= low])
+    low += (n - low) % 2
+    half, base = (n - low) // 2, len(alphabet)
+    middle = range(half, half + low)
+    parts = sorted(  # (middle monomial, outer indices) of each progression, step > 0
+        (sum(1 << (i - half) for i in quad if i in middle),
+         [i if i < half else i - low for i in quad if i not in middle])
         for d in range(1, (n - 1) // 3 + 1)
         for quad in (range(x, x + 4 * d, d) for x in range(n - 3 * d))
     )
     masks, starts = np.unique(np.array([m for m, _ in parts], dtype=np.intp), return_index=True)
-    # high positions padded with index n - low, where each block appends a 1
-    high_index = np.array(
-        [h + [n - low] * (4 - len(h)) for _, h in parts], dtype=np.intp
-    ).reshape(-1, 4)
+    # outer indices padded with index n - low, where each block appends a 1
+    outer_index = np.array([h + [n - low] * (4 - len(h)) for _, h in parts], dtype=np.intp)
     nonzero = np.zeros(1, dtype=np.int32)
     for _ in range(low):
         nonzero = np.concatenate([nonzero + (v != 0) for v in alphabet])
     coeffs = np.zeros(1 << low, dtype=np.int32)
     best = None
     witnesses: list[tuple[int, ...]] = []
-    for high in itertools.product(alphabet, repeat=n - low):
+    for outer in itertools.product(alphabet, repeat=n - low):
+        images = {_image(outer, *g): g for g in ((False, 1), (True, 1), (False, -1), (True, -1))}
+        if min(images) != outer:
+            continue
         if parts:  # n < 4 has no progressions
-            prods = np.array(high + (1,), dtype=np.int32)[high_index].prod(axis=1)
+            prods = np.array(outer + (1,), dtype=np.int32)[outer_index].prod(axis=1)
             coeffs[masks] = np.add.reduceat(prods, starts)
-        total = 2 * transform(coeffs) + nonzero + sum(v != 0 for v in high)
+        total = 2 * transform(coeffs) + nonzero + sum(v != 0 for v in outer)
         block_best = int(total.min())
         if best is None or block_best < best:
             best, witnesses = block_best, []
         if block_best == best:
             for x in np.flatnonzero(total == best).tolist():
-                witnesses.append(tuple(alphabet[x // base**i % base] for i in range(low)) + high)
+                mid = tuple(alphabet[x // base**i % base] for i in range(low))
+                w = outer[:half] + mid + outer[half:]
+                witnesses += (_image(w, *g) for g in images.values())
     witnesses.sort()
     return SearchResult(best, tuple(witnesses), base**n, True)
 
@@ -108,8 +124,8 @@ def min_ap4_pm1(n: int) -> SearchResult:
 
     With v_i = -1 on the set bits of x, the line sum is the Walsh-Hadamard
     transform at x of the progression-mask counts, and total = n + 2 * line
-    sum.  It runs over the low 13 coordinates, one 2^13-value block per
-    assignment of the rest: O(n 2^n) integer additions.
+    sum.  It runs over 13 or 14 middle coordinates, one block per orbit of
+    the rest: about a quarter of O(n 2^n) integer additions.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -121,9 +137,9 @@ def min_ap4_pm1(n: int) -> SearchResult:
 def min_ap4_ternary(n: int) -> SearchResult:
     """Exact minimum of the 4-AP sum over all {-1,0,1} assignments on {1..n}.
 
-    Yates' expansion evaluates the progression products over the low 8
-    coordinates, one 3^8-value block per assignment of the rest, and the
-    degenerate pairs add #nonzero(v): O(n 3^n) integer additions.
+    Yates' expansion evaluates the progression products over 8 or 9 middle
+    coordinates, one block per orbit of the rest, and the degenerate pairs
+    add #nonzero(v): about a quarter of O(n 3^n) integer additions.
     """
     if n < 1:
         raise ValueError("n must be positive")

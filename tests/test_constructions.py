@@ -287,6 +287,18 @@ class TestIntervalSignal:
         assert mean.exact_numerator == -72 * 22 == -1584
         assert mean.value <= -1e-5
 
+    @pytest.mark.parametrize("n, numerator", [(1201, -126), (1753, -142), (1759, -144)])
+    def test_explicit_block_length_below_identity_bound(self, n, numerator):
+        # t = 2 passes the 600 t < n gate at all three moduli, but the
+        # numerator is -72 p(2) = -144 only once 878 t - 2 = 1754 < n
+        f = k.build_interval_signal(k.make_modulus(n), block_length=2)
+        assert k.apk_mean_zn([f] * 4).exact_numerator == numerator
+
+    @pytest.mark.parametrize("n", [5003, 6007, 10007, 20011, 40009, 200003])
+    def test_automatic_block_length_meets_identity_bound(self, n):
+        t = k.interval_block_length(k.make_modulus(n))
+        assert 878 * t - 2 < n
+
     def test_interval_ap_rigidity_6007(self):
         # if x, x+d, x+2d, x+3d all land in blocks, the block indices form a
         # progression; exhaustive over all (x, d) at n = 6007

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ap4kit as k
+from ap4kit import cli, report
 from ap4kit.cli import main
 from ap4kit.errors import IoFailureError, NotPrimeError
 
@@ -94,6 +96,47 @@ class TestRunVerify:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             k.run_verify(5003, seed=0)
+
+
+class TestProductExpansion:
+    def test_each_distinct_term_once(self, monkeypatch):
+        # the sizes 0, 1 and 2, the two gap patterns of size 3, and P itself:
+        # 6 calls, where one call per term, the lead term and P made 17
+        stage, calls = [None], []
+        run, mean = report._Runner.run, report.apk_mean_zn
+
+        def run_spy(self, name, claim_ref, fn):
+            stage[0] = name
+            run(self, name, claim_ref, fn)
+
+        def mean_spy(signals):
+            calls.append(stage[0])
+            return mean(signals)
+
+        monkeypatch.setattr(report._Runner, "run", run_spy)
+        monkeypatch.setattr(report, "apk_mean_zn", mean_spy)
+        assert k.run_verify(6007, seed=1, trials=1).passed()
+        assert calls.count("product_expansion_16_terms") == 6
+
+    def test_matches_one_call_per_term(self, verify_6007):
+        # the stage's earlier loop, one apk_mean_zn call per term, gives the
+        # same floats bit for bit
+        m = k.make_modulus(6007)
+        g, ones = k.build_modulated_signal(m), k.constant_signal(m, 1)
+        total = 0.0
+        for size in range(4):
+            for positions in itertools.combinations(range(4), size):
+                sigs = [g if i in positions else ones for i in range(4)]
+                total += 4.0 ** (4 - size) * k.apk_mean_zn(sigs).value
+        total += k.apk_mean_zn([g] * 4).value
+        total *= 2.0**-12
+        lead_term = 2.0**-12 * 4.0**4 * k.apk_mean_zn([ones] * 4).value
+        measured = verify_6007.check("product_expansion_16_terms").measured
+        assert measured["expansion"] == total
+        assert measured["lead_term_exact"] is (lead_term == 0.0625) is True
+        direct = k.apk_mean_zn([k.build_probability_signal(m)] * 4).value
+        assert measured["direct"] == direct
+        assert measured["value"] == abs(total - direct)
 
 
 SAMPLING_TRIALS = (1, 2, 3, 20)
@@ -429,6 +472,18 @@ class TestCli:
             k.ap4_sum_z(k.IntSignalZ(1, tuple(w))) == payload["min"]
             for w in payload["witnesses"]
         )
+
+    def test_parser_built_once_per_process(self, capsys):
+        # a usage error and a later command in one process share one parser
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--k", "4"])
+        assert exc.value.code == 2
+        assert "--file" in capsys.readouterr().err
+        assert main(["search", "ternary", "--n", "4"]) == 0
+        assert capsys.readouterr().out == "minimum 0 over 81 assignments, 1 witnesses\n"
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_search_grid(self, tmp_path, capsys):
         out = tmp_path / "grid.json"

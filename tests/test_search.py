@@ -1,5 +1,6 @@
 """Search engines against brute-force enumeration."""
 
+import functools
 import itertools
 import math
 import sys
@@ -18,6 +19,7 @@ from ap4kit.search import (
 )
 
 
+@functools.cache
 def _brute(n, alphabet):
     """The whole SearchResult by direct evaluation of every assignment."""
     sums = {
@@ -26,6 +28,25 @@ def _brute(n, alphabet):
     best = min(sums.values())
     witnesses = tuple(sorted(vals for vals, s in sums.items() if s == best))
     return SearchResult(best, witnesses, len(alphabet) ** n, True)
+
+
+def _orbit_leaders(width, alphabet):
+    """The least element of each orbit of alphabet^width under negation and reversal."""
+    return {
+        min(w, w[::-1], tuple(-v for v in w), tuple(-v for v in w[::-1]))
+        for w in itertools.product(alphabet, repeat=width)
+    }
+
+
+def _counting(transform):
+    """transform, and a list of the block size of each call."""
+    calls = []
+
+    def spy(c):
+        calls.append(c.size)
+        return transform(c)
+
+    return spy, calls
 
 
 class TestTransforms:
@@ -68,15 +89,21 @@ class TestPm1:
         for n in range(1, 13):
             assert k.min_ap4_pm1(n) == _brute(n, (-1, 1)), n
 
-    @pytest.mark.parametrize("low", [1, 2, 3])
+    @pytest.mark.parametrize("low", range(1, 13))
     def test_block_split_matches_brute_force(self, low):
-        # n > low puts the high coordinates in the outer block loop
-        for n in (4, 6, 8):
-            assert _block_minimum(n, low, (1, -1), _walsh_hadamard) == _brute(n, (-1, 1))
+        # n > low puts outer positions around the middle run, with n - low of
+        # either parity; n <= low leaves none
+        for n in range(1, 13):
+            assert _block_minimum(n, low, (1, -1), _walsh_hadamard) == _brute(n, (-1, 1)), n
 
-    def test_regression_n20(self):
+    def test_regression_n20(self, monkeypatch):
         # frozen from the Gray-code sweep this transform replaced
+        spy, calls = _counting(_walsh_hadamard)
+        monkeypatch.setattr(search, "_walsh_hadamard", spy)
         result = k.min_ap4_pm1(20)
+        # 20 orbits of the 2^6 outer assignments, each one 2^14-value block
+        # (one 2^13-value block per outer assignment would be 128)
+        assert calls == [2**14] * 20
         assert result.best_value == -42
         assert len(result.witnesses) == 48
         assert result.nodes_explored == 2**20
@@ -128,10 +155,10 @@ class TestTernary:
         for n in range(1, 8):
             assert k.min_ap4_ternary(n) == _brute(n, (-1, 0, 1)), n
 
-    @pytest.mark.parametrize("low", [1, 2, 3])
+    @pytest.mark.parametrize("low", range(1, 8))
     def test_block_split_matches_brute_force(self, low):
-        for n in (4, 6):
-            assert _block_minimum(n, low, (-1, 0, 1), _yates) == _brute(n, (-1, 0, 1))
+        for n in range(1, 8):
+            assert _block_minimum(n, low, (-1, 0, 1), _yates) == _brute(n, (-1, 0, 1)), n
 
     def test_monotone_in_n(self):
         # a witness on {1..n} extends by one zero to {1..n+1}
@@ -165,6 +192,47 @@ class TestTernary:
             k.min_ap4_ternary(17)
         with pytest.raises(ValueError):
             k.min_ap4_ternary(0)
+
+
+PM1 = ((1, -1), _walsh_hadamard)
+TERNARY = ((-1, 0, 1), _yates)
+
+
+class TestOrbitSweep:
+    """One block per orbit of the outer assignments under {id, neg, rev, neg rev}."""
+
+    @pytest.mark.parametrize(
+        "n, low, space, orbits",
+        [
+            (12, 4, PM1, 72),      # 2^8 outer assignments
+            (12, 5, PM1, 20),      # n - low odd: low grows to 6, 2^6 outer assignments
+            (7, 1, TERNARY, 196),  # 3^6 outer assignments
+            (7, 2, TERNARY, 25),   # low grows to 3, 3^4 outer assignments
+            (5, 5, TERNARY, 1),    # no outer positions: one block
+        ],
+    )
+    def test_one_transform_per_orbit(self, n, low, space, orbits):
+        alphabet, transform = space
+        spy, calls = _counting(transform)
+        assert _block_minimum(n, low, alphabet, spy) == _brute(n, tuple(sorted(alphabet)))
+        width = n - low - (n - low) % 2  # the outer positions, after low grows
+        assert len(calls) == len(_orbit_leaders(width, alphabet)) == orbits
+
+    def test_blocks_fixed_by_symmetries(self):
+        # ternary n = 7, low = 1: six outer positions, whose orbit leaders
+        # include outer assignments fixed by each symmetry
+        leaders = _orbit_leaders(6, (-1, 0, 1))
+        palindromes = [w for w in leaders if w == w[::-1] and any(w)]
+        self_negating = [w for w in leaders if w == tuple(-v for v in w)]
+        antipalindromes = [w for w in leaders if w == tuple(-v for v in w[::-1]) and any(w)]
+        assert palindromes and antipalindromes and self_negating == [(0,) * 6]
+        result = _block_minimum(7, 1, (-1, 0, 1), _yates)
+        assert result == _brute(7, (-1, 0, 1))
+        # a witness set closed under both symmetries, with no duplicates
+        witnesses = set(result.witnesses)
+        assert len(witnesses) == len(result.witnesses)
+        assert witnesses == {tuple(-v for v in w) for w in witnesses}
+        assert witnesses == {w[::-1] for w in witnesses}
 
 
 def _latin_square_designs(max_results):
