@@ -37,11 +37,10 @@ slice sum over the 5% of rows off 1/2.
 There are three j >= 4 kernels.  The per-d slice kernel ``_per_d_partials``
 sums over the support of one input, the pivot, and on a mirror list (inputs
 that read the same reversed, such as [s] * k) computes only half the steps
-d; rows at the pivot's mode are summed unscaled and scaled by the mode once.
-The packed slice kernel ``_packed_slice_sum`` is the same on int64 inputs
-with values in {0, 1} (the sampled sets and level sets of the paper), with
-the product an AND and the sum over d a popcount of 64 steps per word.  The
-support-pair sum ``_support_pair_sum`` enumerates the supports of an
+d.  The packed slice kernel ``_packed_slice_sum`` is the same on int64
+inputs with values in {0, 1} (the sampled sets and level sets of the paper),
+with the product an AND and the sum over d a popcount of 64 steps per word.
+The support-pair sum ``_support_pair_sum`` enumerates the supports of an
 adjacent pair of inputs, reads every other input by one gather, and skips
 the pairs of blocks (runs of consecutive residues, ``_blocks``) in which
 some input is read only where it is zero, such as most run pairs of the
@@ -57,8 +56,7 @@ Every sum ends in one reduction, ``_reduce``: Python integers on int64
 values, so exact numerators stay exact, and compensated summation (of the
 real and imaginary parts apart) otherwise.  Every d-partial and every
 support-pair row is built in fixed order (support points in increasing
-order, the slice kernel's mode rows before its other rows), which makes
-results bit-stable run to run.
+order), which makes results bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -156,15 +154,11 @@ def _per_d_partials(arrays: list[np.ndarray], p: int, width: int) -> np.ndarray:
     c_j(y / s_j + d), so for all d at once it is one contiguous slice, and
     the cost is |supp(a_p)| * n products instead of n^2.
 
-    The rows y at the pivot's mode (its most frequent nonzero value, the
-    first in sorted order on a tie) are added up unscaled, in increasing y,
-    and their sum is multiplied by the mode once; then each other row is
-    scaled by a_p(y) and added, in increasing y.  On a 0/1 pivot that skips
-    the scaling pass of every row (lists of 0/1 inputs alone take
-    ``_packed_slice_sum`` instead).  Integer partials stay exact for k <= 5
-    and n < 2^31 with every input in [-64, 64] but one in [-128, 128] (a mode
-    split's deviation): every partial, and the mode rows' sum before and
-    after its scaling, is at most n * 128 * 64^(k-1) <= n * 2^31 < 2^62.
+    Each row y is scaled by a_p(y) and added, in increasing y.  Integer
+    partials stay exact for k <= 5 and n < 2^31 with every input in
+    [-64, 64] but one in [-128, 128] (a mode split's deviation): each entry
+    of a scaled row is at most 128 * 64^(k-1), and each partial, a sum of at
+    most n scaled rows, at most n * 128 * 64^(k-1) <= n * 2^31 < 2^62.
 
     Reading a progression backwards, x' = x + (k - 1) d with step -d, gives
     partials[-d] = the partials of the reversed list at d.  A mirror list
@@ -183,26 +177,15 @@ def _per_d_partials(arrays: list[np.ndarray], p: int, width: int) -> np.ndarray:
     spare = np.empty(width + 8, dtype=dtype)
     buf = spare[-spare.ctypes.data % 64 // dtype.itemsize :][:width]
     (first, u0), (second, u1), *rest = copies
-
-    def row(y: int) -> np.ndarray:
-        """buf = prod_{j != p} c_j(y / s_j + d) for the steps d < width."""
+    for y in np.flatnonzero(pivot).tolist():
+        # buf = a_p(y) prod_{j != p} c_j(y / s_j + d) for the steps d < width
         t0, t1 = y * u0 % n, y * u1 % n  # c_j's slice for this y starts at y / s_j
         np.multiply(first[t0 : t0 + width], second[t1 : t1 + width], out=buf)
         for c, u in rest:
             t = y * u % n
             np.multiply(buf, c[t : t + width], out=buf)
-        return buf
-
-    support = np.flatnonzero(pivot)
-    if support.size:
-        mode, _ = _mode(pivot[support])
-        at_mode = pivot[support] == mode
-        for y in support[at_mode].tolist():
-            out[:width] += row(y)
-        out[:width] *= mode
-        for y in support[~at_mode].tolist():
-            np.multiply(row(y), pivot[y], out=buf)
-            out[:width] += buf
+        np.multiply(buf, pivot[y], out=buf)
+        out[:width] += buf
     out[width:] = out[1 : n - width + 1][::-1]  # partials[n - d] = partials[d]; empty at full width
     return out
 

@@ -244,25 +244,20 @@ def interval_block(k: int, t: int) -> IntervalZn:
     return IntervalZn((2 * k - 1) * t + 1, t)
 
 
-def build_interval_signal(m: Modulus, block_length: int | None = None) -> ZnSignal:
+def build_interval_signal(m: Modulus) -> ZnSignal:
     """Spread the lifted sequence over 300 length-t blocks with gaps of t.
 
     Block k (``interval_block(k, t)``) carries the constant value f(k) and
     every other residue is 0; an arithmetic progression can only pass
-    through blocks whose indices themselves form a progression.  When
-    878 t - 2 < n that pins the exact 4-AP numerator at -72 * p(t), with
-    p(t) the number of progressions inside {1..t}; the automatic
-    t = n // 1200 always meets that bound.  ``block_length`` overrides the
-    automatic gate (used by small-modulus diagnostics); it must satisfy
-    600 t < n, which keeps the blocks apart but not the identity: t = 2
-    gives -142 at n = 1753 and -126 at n = 1201, against -72 * p(2) = -144.
+    through blocks whose indices themselves form a progression.  The block
+    length t = ``interval_block_length(m)`` = n // 1200 gives
+    878 t - 2 < 1200 t <= n, which pins the exact 4-AP numerator at
+    -72 * p(t), with p(t) the number of progressions inside {1..t}.
     """
-    t = interval_block_length(m) if block_length is None else int(block_length)
-    if t < 1 or 600 * t >= m.n:
-        raise ModulusTooSmallError(f"block length {t} does not fit n = {m.n}")
+    t = interval_block_length(m)
     f = lift_signal(sign_grid(reference_design()))
     values = np.zeros(m.n, dtype=np.int64)
-    # 600 t < n: block 300 ends at residue 600 t <= n - 1, so no block wraps or meets another
+    # 1200 t <= n: block 300 ends at residue 600 t <= n / 2, so no block wraps or meets another
     for k in f.support():
         start = interval_block(k, t).start
         values[start : start + t] = f.value_at(k)
@@ -282,14 +277,14 @@ def interval_progression_count(t: int) -> int:
     return sum(c * c for c in counts)
 
 
-def build_modulated_signal(m: Modulus, block_length: int | None = None) -> ZnSignal:
+def build_modulated_signal(m: Modulus) -> ZnSignal:
     """The interval signal times the real phase combination.
 
     G(x) = F(x) (2 cos(2 pi x^2 / n) + 2 cos(2 pi 3 x^2 / n)), the real form of
     the four quadratic phases with exponents +-x^2, +-3x^2.  Values lie in
     [-4, 4] and every Fourier coefficient is below 512 n^-1/2 ln n.
     """
-    f = build_interval_signal(m, block_length)
+    f = build_interval_signal(m)
     n = m.n
     xs = np.arange(n, dtype=np.int64)
     x2 = (xs * xs) % n
@@ -299,9 +294,9 @@ def build_modulated_signal(m: Modulus, block_length: int | None = None) -> ZnSig
     return ZnSignal(m, f.values * phases)
 
 
-def build_probability_signal(m: Modulus, block_length: int | None = None) -> ZnSignal:
+def build_probability_signal(m: Modulus) -> ZnSignal:
     """P = (G + 4)/8: values in [0, 1], coefficients G^(r)/8 for r != 0."""
-    g = build_modulated_signal(m, block_length)
+    g = build_modulated_signal(m)
     return ZnSignal(m, (g.values + 4.0) / 8.0)
 
 

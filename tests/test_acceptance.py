@@ -177,10 +177,10 @@ def test_criterion_06_pattern_structure_and_difference_bound(ef10007, eg10007):
         pc.v == 0 for pc in cls.null
     )
 
-    # 256-term regrouping against the direct mean at n = 1009
-    m1009 = k.make_modulus(1009)
-    f_small = k.build_interval_signal(m1009, block_length=1)
-    g_small = k.build_modulated_signal(m1009, block_length=1)
+    # 256-term regrouping against the direct mean at n = 1201
+    m1201 = k.make_modulus(1201)
+    f_small = k.build_interval_signal(m1201)
+    g_small = k.build_modulated_signal(m1201)
     direct = k.apk_mean_zn([g_small] * 4).value
     regrouped = sum(
         k.modulated_ap4_mean(f_small, (pc.u, pc.v, pc.w)) for pc in cls.all_patterns

@@ -447,8 +447,9 @@ def _pivot_cases(n, dtype, kind, seed):
 
 
 class TestKernelPivotModes:
-    """Rows at the pivot's most frequent value are summed unscaled and scaled once;
-    every other row is scaled by its own value."""
+    """The kernels on a pivot whose values repeat or do not: a dominant value, a
+    negative majority value, no value twice, or no support at all, at the ends of a
+    plain list and at the ends or the centre of a mirror list."""
 
     @pytest.mark.parametrize("n", [11, 101])
     @pytest.mark.parametrize("kind", ["dominant", "negative", "distinct", "empty"])

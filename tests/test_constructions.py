@@ -230,6 +230,14 @@ class TestSignGridAndLift:
         assert image_aps == len(grid_aps)
 
 
+# F's exact k = 4 numerators, recorded; 1201, 2411, 3607 and 4801 are the
+# least primes with block length t = 1, 2, 3 and 4
+_F_NUMERATORS = {
+    1201: -72, 2411: -144, 3607: -216, 4801: -432, 5003: -432,
+    6007: -648, 10007: -1584, 20011: -6192, 40009: -26136, 200003: -661392,
+}
+
+
 class TestIntervalSignal:
     def test_block_length_gate(self):
         assert k.interval_block_length(k.make_modulus(10007)) == 8
@@ -240,6 +248,10 @@ class TestIntervalSignal:
             k.interval_block_length(k.make_modulus(4507))
         with pytest.raises(ModulusTooSmallError):
             k.interval_block_length(k.make_modulus(13))
+        # below 1200 no block length fits, so F cannot be built
+        for n in (1193, 1009):
+            with pytest.raises(ModulusTooSmallError):
+                k.build_interval_signal(k.make_modulus(n))
 
     def test_block_contents(self):
         block = k.interval_block(1, 8)
@@ -268,17 +280,17 @@ class TestIntervalSignal:
         assert nz.min() >= 1
         assert nz.max() <= 10007 // 2
 
-    @pytest.mark.parametrize("n, block_length", [(10007, None), (601, 1)])
-    def test_blocks_against_a_loop(self, n, block_length):
-        # at n = 601, t = 1 the last block is residue 600 = n - 1, the gate's edge
+    @pytest.mark.parametrize("n", [10007, 1201])
+    def test_blocks_against_a_loop(self, n):
+        # 1201 is the least modulus F is built at, with t = 1
         m = k.make_modulus(n)
-        t = k.interval_block_length(m) if block_length is None else block_length
+        t = k.interval_block_length(m)
         lift = k.lift_signal(k.sign_grid(k.reference_design()))
         want = [0] * n
         for block in range(1, 301):
             for x in range((2 * block - 1) * t + 1, 2 * block * t + 1):
                 want[x] = lift.value_at(block)
-        got = k.build_interval_signal(m, block_length)
+        got = k.build_interval_signal(m)
         assert got.exact
         assert got.values.tolist() == want
 
@@ -287,17 +299,14 @@ class TestIntervalSignal:
         assert mean.exact_numerator == -72 * 22 == -1584
         assert mean.value <= -1e-5
 
-    @pytest.mark.parametrize("n, numerator", [(1201, -126), (1753, -142), (1759, -144)])
-    def test_explicit_block_length_below_identity_bound(self, n, numerator):
-        # t = 2 passes the 600 t < n gate at all three moduli, but the
-        # numerator is -72 p(2) = -144 only once 878 t - 2 = 1754 < n
-        f = k.build_interval_signal(k.make_modulus(n), block_length=2)
-        assert k.apk_mean_zn([f] * 4).exact_numerator == numerator
-
-    @pytest.mark.parametrize("n", [5003, 6007, 10007, 20011, 40009, 200003])
+    @pytest.mark.parametrize("n", list(_F_NUMERATORS))
     def test_automatic_block_length_meets_identity_bound(self, n):
-        t = k.interval_block_length(k.make_modulus(n))
+        # t = n // 1200 gives 878 t - 2 < n, so every F has numerator -72 p(t)
+        m = k.make_modulus(n)
+        t = k.interval_block_length(m)
         assert 878 * t - 2 < n
+        numerator = k.apk_mean_zn([k.build_interval_signal(m)] * 4).exact_numerator
+        assert numerator == -72 * k.interval_progression_count(t) == _F_NUMERATORS[n]
 
     def test_interval_ap_rigidity_6007(self):
         # if x, x+d, x+2d, x+3d all land in blocks, the block indices form a
@@ -524,14 +533,15 @@ class TestSampling:
         for seed, expected in frozen.items():
             assert k.sample_indicator(p_signal, k.RngStream(seed)).values.tolist() == expected
 
-    def test_frozen_draws_probability_signal_1009(self):
-        # (set size, sha256 of the packed 0/1 vector) from the reference implementation
+    def test_frozen_draws_probability_signal_1201(self):
+        # (set size, sha256 of the packed 0/1 vector), recorded from the sampler that
+        # test_frozen_draws_hand_built ties to the per-element reference
         frozen = {
-            0: (523, "e14ad5c02aa62e0d113f4fccac72631b151cfd479f368c0079af3c9b577c33b6"),
-            1: (544, "0c17e08b8f9e8a5be3d284026ba4064473f26b66c9ea93fba6e22ddd58ff7d46"),
-            42: (533, "f263123b5cee2d664363e82ef207db8ff4566aa29d9b81a44fa8e1414f27f772"),
+            0: (616, "68404fc22531254ce3f68a22874e35be98ce85c036ad8fda8d4b3303106cbafc"),
+            1: (639, "631423eecef52f08332a6f6a0e7705478abbd95fdbb1794a968899e3088b4051"),
+            42: (626, "1f1f6ee4edd3ac1bb2cdf47762f940e99ab73153aae81a075036eb596b48a969"),
         }
-        p_signal = k.build_probability_signal(k.make_modulus(1009), block_length=1)
+        p_signal = k.build_probability_signal(k.make_modulus(1201))
         for seed, (size, digest) in frozen.items():
             values = k.sample_indicator(p_signal, k.RngStream(seed)).values
             packed = np.packbits(values.astype(np.uint8)).tobytes()
@@ -572,15 +582,11 @@ class TestQuadraticLevelSet:
         assert abs(threeap - density**3) <= 3.0 * c
 
 
-class TestExpansionIdentityAt1009:
-    def test_small_modulus_needs_explicit_block_length(self):
-        with pytest.raises(ModulusTooSmallError):
-            k.build_interval_signal(k.make_modulus(1009))
-
+class TestExpansionIdentityAt1201:
     def test_256_term_regrouping(self):
-        m = k.make_modulus(1009)
-        f = k.build_interval_signal(m, block_length=1)
-        g = k.build_modulated_signal(m, block_length=1)
+        m = k.make_modulus(1201)
+        f = k.build_interval_signal(m)
+        g = k.build_modulated_signal(m)
         eg = k.apk_mean_zn([g] * 4).value
         acc = 0j
         for pc in k.classify_patterns().all_patterns:

@@ -330,10 +330,10 @@ class TestRunScaling:
     def test_failed_measurement_skips_the_ratios(self, monkeypatch):
         build = k.constructions.build_modulated_signal
 
-        def crash_at_20011(m, block_length=None):
+        def crash_at_20011(m):
             if m.n == 20011:
                 raise RuntimeError("no modulated signal")
-            return build(m, block_length)
+            return build(m)
 
         monkeypatch.setattr(k.constructions, "build_modulated_signal", crash_at_20011)
         report = k.run_scaling([10007, 20011, 40009])
