@@ -6,7 +6,6 @@ from .apcount import (
     ApMean,
     ap4_sum_z,
     apk_mean_zn,
-    linear_form_mean_fourier,
     modulated_ap4_mean,
 )
 from .constructions import (

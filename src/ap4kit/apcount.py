@@ -52,7 +52,7 @@ Z_p and takes the same routes, and ``modulated_ap4_mean`` hands its complex
 phase-weighted copies to the same choice of j >= 4 kernel (the j <= 3
 routes and the mode split take real inputs only).
 
-Every sum ends in one reduction, ``_reduce``: Python integers on int64
+Every sum ends in one reduction, ``core.reduce_sum``: exact on int64
 values, so exact numerators stay exact, and compensated summation (of the
 real and imaginary parts apart) otherwise.  Every d-partial and every
 support-pair row is built in fixed order (support points in increasing
@@ -69,9 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import IntSignalZ, ZnSignal, is_prime, make_modulus
-from .errors import ModulusMismatchError, NotIndicatorError
-from .spectra import dft, quadratic_phase_signal
+from .core import IntSignalZ, ZnSignal, is_prime, make_modulus, reduce_sum
+from .errors import ModulusMismatchError
+from .spectra import quadratic_phase_signal
 
 
 @dataclass(frozen=True)
@@ -115,20 +115,6 @@ def _mode(values: np.ndarray) -> tuple[int | float | complex, int]:
     distinct, counts = np.unique(values, return_counts=True)
     top = int(np.argmax(counts))
     return distinct[top].item(), int(counts[top])
-
-
-def _reduce(values: np.ndarray) -> int | float | complex:
-    """The sum of int64, float64 or complex128 values: exact in Python integers, else by fsum.
-
-    fsum rounds the exact sum once, so a float or complex sum does not depend
-    on the order of the values; complex values are summed as their real and
-    imaginary parts apart.
-    """
-    if values.dtype == np.int64:
-        return sum(values.tolist())
-    if values.dtype == np.complex128:
-        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
-    return math.fsum(values.tolist())
 
 
 def _dilated(arrays: list[np.ndarray], p: int):
@@ -242,13 +228,13 @@ def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex
     with every input in [-64, 64] but one in [-128, 128] (a mode split's
     deviation): an entry of prod @ v is at most n * 128 * 64^(k-2) <= 2^56
     and its product with u at most n * 128 * 64^(k-1) < 2^62, and the terms
-    are reduced once by ``_reduce``.
+    are reduced once by ``reduce_sum``.
     """
     n = arrays[0].shape[0]
     terms = [np.zeros(0, dtype=np.result_type(*arrays))]  # no kept pair: 0 of the result type
     ys, zs = np.flatnonzero(arrays[q]), np.flatnonzero(arrays[q + 1])
     if not (ys.size and zs.size):
-        return _reduce(terms[0])
+        return reduce_sum(terms[0])
     u, v = arrays[q][ys], arrays[q + 1][zs]
     y_bounds, z_bounds = _blocks(ys), _blocks(zs)
     y_first, y_last = ys[y_bounds[:-1]], ys[y_bounds[1:] - 1]
@@ -293,7 +279,7 @@ def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex
                 for tiled, row, col in rest:
                     prod *= tiled.take(row[start:stop, None] + col)
                 terms.append(u[start:stop] * (prod @ kept_v))
-    return _reduce(np.concatenate(terms))
+    return reduce_sum(np.concatenate(terms))
 
 
 def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -400,7 +386,7 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     within 1/4 of its rounding, a check of the result itself.  Otherwise (the
     range the bound admits is stated with it) they convolve by the big-integer
     multiply ``_cyclic_convolution``.  Both kinds gather once, g times the
-    convolution at (c - a) y, and reduce the products by ``_reduce``.
+    convolution at (c - a) y, and reduce the products by ``reduce_sum``.
     """
     (a, f), (b, g), (c, h) = free
     n = f.shape[0]
@@ -425,7 +411,7 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
             conv = _cyclic_convolution(f_dil, h_dil)
     # exact: |g| <= 64 and |conv| <= ||f'|| ||h'|| < 2^43 (Cauchy-Schwarz), so
     # every int64 product is below 2^49
-    return _reduce(g * conv[at])
+    return reduce_sum(g * conv[at])
 
 
 def _slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int | float | complex:
@@ -433,9 +419,9 @@ def _slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int | float | co
 
     An exact per-d sum is at most n * 128 * 64^4 < 2^62 for n < 2^31 (one
     input may be a split's deviation, in [-128, 128]), so int64 holds it; the
-    sum over d can pass 2^63, so ``_reduce`` sums it in Python integers.
+    sum over d can pass 2^63, and ``reduce_sum`` then sums it in Python integers.
     """
-    return _reduce(_per_d_partials(arrays, p, width))
+    return reduce_sum(_per_d_partials(arrays, p, width))
 
 
 def _is_indicator(a: np.ndarray) -> bool:
@@ -546,7 +532,7 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
             free.append((i, a))
     scale = math.prod(constants)
     if len(free) <= 2:
-        return scale * n ** (2 - len(free)) * math.prod(_reduce(a) for _, a in free)
+        return scale * n ** (2 - len(free)) * math.prod(reduce_sum(a) for _, a in free)
     if len(free) == 3:
         return scale * _three_input_sum(free)
     sizes = [np.count_nonzero(a) for a in arrays]
@@ -655,17 +641,3 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     _, route = _kernel_route(arrays, [np.count_nonzero(a) for a in arrays])
     return route() / (n * n)
 
-
-def linear_form_mean_fourier(b: ZnSignal) -> float:
-    """E over solutions of x - 3y + 3z - w = 0 of B(x)B(y)B(z)B(w).
-
-    Computed as sum_r |B^(r)|^2 |B^(3r)|^2, which also shows the value is at
-    least density(B)^4: the nonzero frequencies contribute non-negatively.
-    """
-    if not _is_indicator(b.values):
-        raise NotIndicatorError("expected a 0/1-valued signal")
-    n = b.n
-    coeffs = dft(b).coeffs
-    mags2 = (coeffs * coeffs.conj()).real
-    idx3 = (3 * np.arange(n, dtype=np.int64)) % n
-    return _reduce(mags2 * mags2[idx3])

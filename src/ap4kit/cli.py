@@ -115,8 +115,7 @@ def _finish_report(report: VerificationReport, out: str | None) -> int:
 def _cmd_search(args) -> int:
     if args.space == "grid":
         if args.n is not None:
-            print("error: --n applies to search pm1/ternary only", file=sys.stderr)
-            return 2
+            raise ValueError("--n applies to search pm1/ternary only")
         designs = search_grid_designs(args.max_results)
         n, best = 4, None
         witnesses = [sorted(list(p) for p in d.points) for d in designs]
@@ -125,11 +124,9 @@ def _cmd_search(args) -> int:
         print(f"{len(designs)} valid designs")
     else:
         if args.n is None:
-            print("error: search pm1/ternary requires --n", file=sys.stderr)
-            return 2
+            raise ValueError("search pm1/ternary requires --n")
         if args.max_results:
-            print("error: --max-results applies to search grid only", file=sys.stderr)
-            return 2
+            raise ValueError("--max-results applies to search grid only")
         result = min_ap4_pm1(args.n) if args.space == "pm1" else min_ap4_ternary(args.n)
         n, best, exhaustive = args.n, result.best_value, result.exhaustive
         witnesses = [list(w) for w in result.witnesses]

@@ -1,4 +1,4 @@
-"""Prime moduli, signals on the integers and on Z_n, and a reproducible random stream."""
+"""Prime moduli, signals on Z and on Z_n, one exact sum, and a reproducible random stream."""
 
 from __future__ import annotations
 
@@ -145,26 +145,33 @@ class SignalStats(NamedTuple):
     maximum: float
 
 
-def signal_stats(s: ZnSignal) -> SignalStats:
-    """Mean, min and max of a real signal; the mean equals dft(s)[0].
+def reduce_sum(values: np.ndarray) -> int | float | complex:
+    """The sum of int64, float64 or complex128 values: exact on int64, else by fsum.
 
-    An exact signal is summed in int64 when that cannot wrap and in Python
-    integers otherwise; a float signal is summed with ``math.fsum``.
+    An int64 array is summed in int64 when size * max|v| < 2^63, so no partial
+    sum can wrap, and in Python integers otherwise; an empty one sums to 0.
+    fsum rounds the exact sum once, so a float or complex sum does not depend
+    on the order of the values; complex values are summed as their real and
+    imaginary parts apart.
     """
+    if values.dtype == np.int64:
+        if not values.size:
+            return 0
+        # Python ints, since abs(-2^63) wraps in int64
+        lo, hi = int(values.min()), int(values.max())
+        if values.size * max(-lo, hi) < 2**63:
+            return int(values.sum())
+        return sum(values.tolist())
+    if values.dtype == np.complex128:
+        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    return math.fsum(values.tolist())
+
+
+def signal_stats(s: ZnSignal) -> SignalStats:
+    """Mean (``reduce_sum`` over n), min and max of a real signal; the mean equals dft(s)[0]."""
     if s.is_complex:
         raise ValueError("signal_stats is defined for real signals only")
-    n = s.n
-    if s.exact:
-        # Python ints, since abs(-2^63) wraps in int64
-        lo, hi = int(s.values.min()), int(s.values.max())
-        if n * max(-lo, hi) < 2**63:  # the int64 sum cannot wrap
-            total = int(s.values.sum(dtype=np.int64))
-        else:
-            total = sum(s.values.tolist())
-        return SignalStats(total / n, float(lo), float(hi))
-    return SignalStats(
-        math.fsum(s.values.tolist()) / n, float(s.values.min()), float(s.values.max())
-    )
+    return SignalStats(reduce_sum(s.values) / s.n, float(s.values.min()), float(s.values.max()))
 
 
 @dataclass(frozen=True)
@@ -212,13 +219,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
+    """The uint64 words mix(seed + c * 0x9E3779B97F4A7C15) for c = first, ..., first + count - 1.
 
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+    ``mix`` is the splitmix64 finalizer.  uint64 arithmetic wraps mod 2**64;
+    ``first`` is reduced mod 2**64 before it becomes uint64.
+    """
+    counters = np.arange(count, dtype=np.uint64) + np.uint64(first & _MASK64)
+    z = np.uint64(seed) + counters * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -244,21 +252,20 @@ class RngStream:
 
     def next_word(self) -> int:
         """The next 64-bit word, as a Python int."""
-        self._position += 1
-        return _mix64((self.seed + self._position * _GAMMA) & _MASK64)
+        return int(self.words(1)[0])
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array (same sequence as next_word)."""
-        ks = np.arange(self._position + 1, self._position + count + 1, dtype=np.uint64)
+        block = _splitmix64(self.seed, self._position + 1, count)
         self._position += count
-        states = np.uint64(self.seed) + ks * np.uint64(_GAMMA)
-        return _mix64_array(states)
+        return block
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream for parallel or per-trial use."""
         if index < 0:
             raise ValueError("child index must be non-negative")
-        return RngStream(_mix64((_mix64(self.seed) + (index + 1) * _GAMMA) & _MASK64))
+        mixed = int(_splitmix64(self.seed, 0, 1)[0])  # mix(seed)
+        return RngStream(int(_splitmix64(mixed, index + 1, 1)[0]))
 
 
 # --- file io ------------------------------------------------------------------

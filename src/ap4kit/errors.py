@@ -25,10 +25,6 @@ class ModulusMismatchError(Ap4KitError):
     """Signals combined in one operation live on different moduli."""
 
 
-class NotIndicatorError(Ap4KitError):
-    """A 0/1-valued signal was required."""
-
-
 class ModulusTooSmallError(Ap4KitError):
     """No admissible interval block length exists for this modulus."""
 

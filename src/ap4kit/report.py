@@ -269,8 +269,8 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
         target = 1.0 / math.sqrt(n)
         worst = 0.0
         for _ in range(FLATNESS_TRIALS):
-            a = 1 + sub.next_word() % (n - 1)
-            b = sub.next_word() % n
+            wa, wb = sub.words(2).tolist()
+            a, b = 1 + wa % (n - 1), wb % n
             sp = dft(quadratic_phase_signal(m, a, b))
             dev = float(np.abs(np.abs(sp.coeffs) - target).max())
             worst = max(worst, dev)
@@ -283,12 +283,9 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
         bound = 2.0 * _log_scale(n)
         worst = 0.0
         for _ in range(MODULATED_TRIALS):
-            start = sub.next_word() % n
-            length = 1 + sub.next_word() % (n - 1)
-            a = 1 + sub.next_word() % (n - 1)
-            b = sub.next_word() % n
-            c = sub.next_word() % n
-            interval = IntervalZn(start, length)
+            ws, wl, wa, wb, wc = sub.words(5).tolist()
+            interval = IntervalZn(ws % n, 1 + wl % (n - 1))
+            a, b, c = 1 + wa % (n - 1), wb % n, wc % n
             worst = max(worst, modulated_interval_uniformity_check(m, interval, (a, b, c)))
         return {"value": worst, "trials": MODULATED_TRIALS}, bound, worst <= bound, False
 

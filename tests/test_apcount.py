@@ -23,7 +23,7 @@ from ap4kit.apcount import (
     _support_pair_sum,
     _three_input_sum,
 )
-from ap4kit.errors import ModulusMismatchError, NotIndicatorError
+from ap4kit.errors import ModulusMismatchError
 
 
 def _brute_ap4_sum(f: k.IntSignalZ) -> int:
@@ -1244,26 +1244,18 @@ class TestProfile:
 
 
 class TestLinearFormMean:
-    def test_full_set(self):
+    # the Fourier oracle of conftest.py, checked against known values and the direct count
+    def test_full_set(self, linear_form_mean):
         m = k.make_modulus(11)
-        assert k.linear_form_mean_fourier(k.constant_signal(m, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert linear_form_mean(k.constant_signal(m, 1)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_single_point(self):
+    def test_single_point(self, linear_form_mean):
         m = k.make_modulus(11)
         vals = np.zeros(11, dtype=np.int64)
         vals[0] = 1
-        assert k.linear_form_mean_fourier(k.ZnSignal(m, vals)) == pytest.approx(
-            11.0**-3, abs=1e-15
-        )
+        assert linear_form_mean(k.ZnSignal(m, vals)) == pytest.approx(11.0**-3, abs=1e-15)
 
-    def test_not_indicator_rejected(self):
-        m = k.make_modulus(11)
-        with pytest.raises(NotIndicatorError):
-            k.linear_form_mean_fourier(k.constant_signal(m, -1))
-        with pytest.raises(NotIndicatorError):
-            k.linear_form_mean_fourier(k.constant_signal(m, 0.5))
-
-    def test_matches_brute_force_and_positivity(self):
+    def test_matches_brute_force_and_positivity(self, linear_form_mean):
         n = 101
         m = k.make_modulus(n)
         xs = np.arange(n)
@@ -1277,8 +1269,58 @@ class TestLinearFormMean:
                 count=n,
             )
             b = k.ZnSignal(m, vals)
-            val = k.linear_form_mean_fourier(b)
+            val = linear_form_mean(b)
             brute = float((vals[X] * vals[Y] * vals[Z] * vals[W]).sum()) / n**3
             beta = vals.sum() / n
             assert val == pytest.approx(brute, abs=1e-9)
             assert val >= beta**4 - 1e-9
+
+
+@functools.cache
+def _pinned_signal(name, n):
+    m = k.make_modulus(n)
+    if name == "F":
+        return k.build_interval_signal(m)
+    if name == "P":
+        return k.build_probability_signal(m)
+    if name == "A":
+        return k.sample_indicator(k.build_probability_signal(m), k.RngStream(42))
+    if name == "Q":
+        return k.quadratic_level_set(m, 0.05)
+    # the Legendre symbol: 0 at 0, else +/-1 by Euler's criterion
+    return k.ZnSignal(m, [0] + [1 if pow(x, (n - 1) // 2, n) == 1 else -1 for x in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    ("name", "n", "kk", "want"),
+    [
+        ("F", 10007, 3, -1024),
+        ("F", 10007, 5, 512),
+        ("F", 40009, 5, 8736),
+        ("A", 10007, 3, 12303263),
+        ("A", 10007, 4, 6114813),
+        ("A", 10007, 5, 3041285),
+        ("A", 20011, 4, 24954822),
+        ("A", 20011, 5, 12467652),
+        ("A", 200003, 3, 5027535254),
+        ("Q", 20011, 3, 401293),
+        ("Q", 20011, 4, 120083),
+        ("Q", 20011, 5, 49657),
+        ("chi", 10007, 4, -1040624),
+        ("chi", 10007, 5, 0),
+        ("P", 10007, 4, 0.0620291172245627),
+        ("P", 10007, 5, 0.0309560507238300),
+        ("P", 40009, 4, 0.06233118836245497),
+        ("P", 40009, 5, 0.031144564066495767),
+    ],
+)
+def test_recorded_counts(name, n, kk, want):
+    # F takes the support-pair sum; A and the level set the packed kernel at
+    # k >= 4 and the FFT convolution at k = 3 (recorded from the big-integer
+    # multiply alone); the Legendre symbol the mirrored int64 slice kernel;
+    # P the mode split, within 1e-12 relative of its means recorded before it
+    mean = k.apk_mean_zn([_pinned_signal(name, n)] * kk)
+    if name == "P":
+        assert math.isclose(mean.value, want, rel_tol=1e-12)
+    else:
+        assert mean.exact_numerator == want

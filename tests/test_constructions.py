@@ -591,8 +591,7 @@ class TestExpansionIdentityAt1201:
         acc = 0j
         for pc in k.classify_patterns().all_patterns:
             acc += k.modulated_ap4_mean(f, (pc.u, pc.v, pc.w))
-        assert abs(acc.imag) < 1e-9
-        assert abs(acc.real - eg) < 1e-6
+        assert abs(acc - eg) <= 1e-12 * abs(eg)
 
 
 class TestExpansionIdentityAt10007:

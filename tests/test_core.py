@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ap4kit as k
+from ap4kit.core import reduce_sum
 from ap4kit.errors import IoFailureError, NotPrimeError, TooLargeError, TooSmallError
 
 
@@ -139,6 +140,56 @@ class TestSignalStats:
         assert k.signal_stats(s) == want
 
 
+    def test_exact_sum_that_would_wrap_in_int64(self):
+        # 11 * 2**60 > 2**63: the int64 sum would wrap, so the mean takes Python integers
+        s = k.ZnSignal(k.make_modulus(11), np.full(11, 2**60, dtype=np.int64))
+        assert k.signal_stats(s) == (2.0**60, 2.0**60, 2.0**60)
+
+
+class _ListSpy(np.ndarray):
+    """An array that counts its tolist calls, which only the Python-integer sum makes."""
+
+    lists = 0
+
+    def tolist(self):
+        _ListSpy.lists += 1
+        return super().tolist()
+
+
+class TestReduceSum:
+    def test_empty_int64_is_zero(self):
+        total = reduce_sum(np.zeros(0, dtype=np.int64))
+        assert total == 0 and type(total) is int
+
+    @pytest.mark.parametrize(
+        ("vals", "in_python"),
+        [
+            ([2**62 - 1, 2**62 - 1], False),  # size * max|v| = 2**63 - 2
+            ([2**62, 2**62], True),  # 2**63: the int64 sum would wrap
+            ([-(2**62), -(2**62)], True),
+            ([(2**63 - 1) // 3] * 3, False),  # 2**63 - 2
+            ([(2**63 - 1) // 3 + 1, -1, 0], True),  # 2**63 + 1
+        ],
+    )
+    def test_int64_shortcut_edge(self, vals, in_python):
+        spy = np.array(vals, dtype=np.int64).view(_ListSpy)
+        _ListSpy.lists = 0
+        assert reduce_sum(spy) == sum(vals)
+        assert _ListSpy.lists == in_python
+
+    def test_most_negative_entry(self):
+        vals = np.array([-(2**63), 5, 7], dtype=np.int64)
+        assert reduce_sum(vals) == -(2**63) + 12
+        assert reduce_sum(vals[:1]) == -(2**63)
+
+    def test_float_and_complex_go_through_fsum(self):
+        vals = np.array([1e16, 1.0, -1e16, 1.0])
+        assert reduce_sum(vals) == 2.0  # the left-to-right float sum is 1.0
+        got = reduce_sum(vals + 1j * vals[::-1])
+        assert got == complex(2.0, 2.0) and type(got) is complex
+        assert reduce_sum(np.zeros(0)) == 0.0
+
+
 class TestIntSignalZ:
     def test_canonical_trim(self):
         f = k.IntSignalZ(5, (0, 0, 1, -1, 0))
@@ -193,6 +244,21 @@ class TestRngStream:
     def test_negative_child_rejected(self):
         with pytest.raises(ValueError):
             k.RngStream(1).child(-1)
+
+    @pytest.mark.parametrize(
+        ("seed", "index", "want"),
+        [
+            (1, 0, 13830413928045401970),
+            (42, 3, 885919558081284366),
+            (2**64 - 1, 5, 1030865485958021921),
+            (7, 2**64 - 1, 13225839796362995591),
+            (7, 2**64, 9672475392221035855),
+            (7, 5, 6356872459430266104),
+            (7, 3 * 2**64 + 5, 6356872459430266104),  # index + 1 wraps mod 2**64
+        ],
+    )
+    def test_frozen_child_seeds(self, seed, index, want):
+        assert k.RngStream(seed).child(index).seed == want
 
     def test_children_differ(self):
         r = k.RngStream(1)
