@@ -186,36 +186,65 @@ def freiman_check(
 ) -> FreimanCheck:
     """Check that phi(x) - phi(y) = phi(z) - phi(w) iff x - y = z - w on the domain.
 
-    Runs over all pairs of domain points (64^2 for the grid), checking that the
-    difference of images depends only on the vector difference and that
-    distinct vector differences give distinct image differences.  The
-    embedding is evaluated once per point.  On failure the collision field
-    holds two pairs witnessing it.
+    Checks all ordered pairs (x, y) of domain points at once (64^2 for the
+    grid): the difference of images must depend only on the vector
+    difference, and distinct vector differences must give distinct image
+    differences.  The embedding is evaluated once per point.  Images that
+    are not int64 integers, or lie 2^63 or more apart, are a ValueError.
+    The points must be integer tuples of one length; each vector x - y
+    becomes one int64 key in mixed radix (2 * span + 1 per coordinate), and
+    a domain too wide for that is a ValueError too.
+
+    On failure the collision field holds (earlier pair, failing pair), with
+    pairs taken in row-major order.  The failing pair is the first whose
+    vector came earlier with another image, or whose image came earlier with
+    another vector; the earlier pair is the first pair with its vector in
+    the first case and with its image in the second.
     """
     if embedding is None:
         embedding = _default_embedding
     pts = list(points) if points is not None else [
         p for p in itertools.product(*(range(1, GRID_SIDE + 1),) * 3)
     ]
-    images = [embedding(p) for p in pts]
-    by_vector: dict[tuple, int] = {}
-    by_image: dict[int, tuple] = {}
-    first_pair: dict[tuple, tuple] = {}
-    for (x, phi_x), (y, phi_y) in itertools.product(zip(pts, images), repeat=2):
-        vec = tuple(a - b for a, b in zip(x, y))
-        img = phi_x - phi_y
-        if vec in by_vector:
-            if by_vector[vec] != img:
-                return FreimanCheck(False, (first_pair[vec], (x, y)))
-        else:
-            by_vector[vec] = img
-            first_pair[vec] = (x, y)
-        if img in by_image:
-            if by_image[img] != vec:
-                return FreimanCheck(False, (first_pair[by_image[img]], (x, y)))
-        else:
-            by_image[img] = vec
-    return FreimanCheck(True, None)
+    if not pts:
+        return FreimanCheck(True, None)
+    phi = np.array([embedding(p) for p in pts])
+    # every image difference must fit in int64
+    if phi.dtype.kind != "i" or int(phi.max()) - int(phi.min()) >= 2**63:
+        raise ValueError("embedding images must be int64 integers less than 2^63 apart")
+    phi = phi.astype(np.int64)
+    coords = np.array(pts)
+    if coords.ndim != 2 or coords.dtype.kind != "i":
+        raise ValueError("domain points must be integer tuples of one length")
+    coords = coords.astype(np.int64) - coords.min(axis=0)
+    weights = []
+    radix = 1
+    for span in coords.max(axis=0)[::-1].tolist():
+        weights.append(radix)
+        radix *= 2 * span + 1
+    if radix >= 2**63:
+        raise ValueError("the domain's difference vectors do not fit one int64 key")
+    key = coords @ np.array(weights[::-1], dtype=np.int64)
+
+    def first_with_same(values):
+        """For each pair, the index of the first pair with the same value."""
+        _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        return first[inverse]
+
+    vec_first = first_with_same(np.subtract.outer(key, key).ravel())
+    img = np.subtract.outer(phi, phi).ravel()
+    img_first = first_with_same(img)
+    vec_bad = img[vec_first] != img
+    bad = np.flatnonzero(vec_bad | (vec_first[img_first] != vec_first))
+    if bad.size == 0:
+        return FreimanCheck(True, None)
+    i = int(bad[0])
+    earlier = int(vec_first[i] if vec_bad[i] else img_first[i])
+    count = len(pts)
+    return FreimanCheck(
+        False,
+        ((pts[earlier // count], pts[earlier % count]), (pts[i // count], pts[i % count])),
+    )
 
 
 def lift_signal(signs: Mapping[Triple, int]) -> IntSignalZ:

@@ -255,7 +255,12 @@ class RngStream:
         return int(self.words(1)[0])
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as a uint64 array (same sequence as next_word)."""
+        """The next ``count`` words as a uint64 array (same sequence as next_word).
+
+        A negative count is a ValueError and leaves the stream where it was.
+        """
+        if count < 0:
+            raise ValueError("word count must be non-negative")
         block = _splitmix64(self.seed, self._position + 1, count)
         self._position += count
         return block

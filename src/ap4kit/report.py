@@ -187,13 +187,16 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     concentration check over no draws measures nothing.
 
     Every progression sum goes through ``apk_mean_zn``, which picks the
-    route.  The modulated-interval maxima take no transform: completing the
-    square turns each into the largest chirp sum over a cyclic window (see
-    ``modulated_interval_uniformity_check``).  A draw's deviation is the
-    largest coefficient of A - P, a real signal, so the draws are made two
-    at a time and each pair shares one complex FFT; an odd last draw takes
-    one of its own.  With the 10 flatness phases and the spectra of G and
-    P, that is 12 + ceil(trials / 2) prime-length FFTs per run.  A stage
+    route.  Neither spot check takes a transform; both complete the square.
+    With s = (r - b)(2a)^-1, coefficient r of w^(a x^2 + b x) is
+    n^-1 w^(-a s^2) G(a), where G(a) is the Gauss sum of w^(a y^2), so every
+    coefficient has modulus |G(a)| / n and the flatness check reads one
+    O(n) sum per phase.  The modulated-interval maxima are the largest chirp
+    sums over a cyclic window (see ``modulated_interval_uniformity_check``).
+    A draw's deviation is the largest coefficient of A - P, a real signal,
+    so the draws are made two at a time and each pair shares one complex
+    FFT; an odd last draw takes one of its own.  With the spectra of G and
+    P, that is 2 + ceil(trials / 2) prime-length FFTs per run.  A stage
     that raises is recorded as a failed check with its error, and the later
     stages are skipped; a MemoryError propagates.
     """
@@ -265,15 +268,16 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     runner.run("interval_signal_mean", "ap4-mean-at-most--1e-5", interval_mean)
 
     def flatness():
+        # Every coefficient of w^(a x^2 + b x) has modulus |G(a)| / n, with
+        # G(a) the Gauss sum of w^(a y^2).  b only changes their phases, so
+        # its word is drawn, to keep the stream's positions, and not read.
         sub = rng.child(0)
         target = 1.0 / math.sqrt(n)
         worst = 0.0
         for _ in range(FLATNESS_TRIALS):
-            wa, wb = sub.words(2).tolist()
-            a, b = 1 + wa % (n - 1), wb % n
-            sp = dft(quadratic_phase_signal(m, a, b))
-            dev = float(np.abs(np.abs(sp.coeffs) - target).max())
-            worst = max(worst, dev)
+            wa, _wb = sub.words(2).tolist()
+            gauss = complex(quadratic_phase_signal(m, 1 + wa % (n - 1)).values.sum())
+            worst = max(worst, abs(abs(gauss) / n - target))
         return {"value": worst, "trials": FLATNESS_TRIALS}, 1e-9, worst <= 1e-9, False
 
     runner.run("quadratic_phase_flatness", "phase-spectrum-flat-at-n^-1/2", flatness)

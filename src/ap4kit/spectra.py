@@ -4,10 +4,10 @@ The transform used everywhere is f^(r) = n^-1 * sum_x f(x) w^(-rx) with
 w = exp(2*pi*i/n), so f^(0) is the mean (the density, for an indicator).
 ``dft`` is numpy's O(n log n) FFT at every length (prime lengths included).
 ``quadratic_phase_signal`` reads its roots of unity w^x from one read-only
-table per modulus, cached for the last two moduli, so the 30 phases of a
-``verify`` run (10 flatness phases and 20 chirps w^(a y^2)) build it once;
-the exponent is reduced exactly in int64, so a phase is the same whether the
-table is cached or new.
+table per modulus, cached for the last two moduli, so the 30 chirps
+w^(a y^2) of a ``verify`` run (10 Gauss sums for the flatness check and 20
+window sums) build it once; the exponent is reduced exactly in int64, so a
+phase is the same whether the table is cached or new.
 """
 
 from __future__ import annotations
@@ -78,15 +78,31 @@ def quadratic_phase_signal(m: Modulus, a: int, b: int = 0, c: int = 0) -> ZnSign
     """The complex signal w^(a x^2 + b x + c) on Z_n.
 
     The exponent is reduced mod n stepwise in int64 so no floating-point
-    argument error enters the root of unity.
+    argument error enters the root of unity.  A b or c that is 0 mod n adds
+    nothing to the reduced exponent, so its term is skipped.
     """
     n = m.n
     xs = np.arange(n, dtype=np.int64)
-    x2 = (xs * xs) % n
-    e = (a % n) * x2 % n
-    e = (e + (b % n) * xs) % n
-    e = (e + c % n) % n
+    e = _mod_in_place(xs * xs, n)
+    e *= a % n
+    _mod_in_place(e, n)
+    if b % n:
+        e += (b % n) * xs
+        _mod_in_place(e, n)
+    if c % n:
+        e += c % n
+        _mod_in_place(e, n)
     return ZnSignal(m, _roots_of_unity(n)[e])
+
+
+def _mod_in_place(e: np.ndarray, n: int) -> np.ndarray:
+    """e mod n in place, for e >= 0.
+
+    numpy divides an int64 array by a scalar several times faster than it
+    takes % of it.
+    """
+    e -= e // n * n
+    return e
 
 
 @lru_cache(maxsize=2)

@@ -181,6 +181,48 @@ class TestSignGridAndLift:
         check = k.freiman_check(lambda p: p[0], [(i,) for i in range(1, 5)])
         assert check.ok
 
+    def test_freiman_matches_pair_loop(self, freiman_check_loop):
+        # seeded random embeddings of the 3-D grid, of random parts of it and
+        # of 1-D point lists: the same verdict and the same witness as the loop
+        rng = np.random.default_rng(20240)
+        grid = list(itertools.product(range(1, 5), repeat=3))
+        outcomes = set()
+        for case in range(600):
+            if case % 3 == 2:
+                line = rng.permutation(np.arange(-12, 13))[: rng.integers(1, 12)]
+                pts = [(int(x),) for x in line]
+            elif case % 3 == 1:
+                pts = [grid[i] for i in sorted(rng.choice(64, rng.integers(1, 20), replace=False))]
+            else:
+                pts = grid
+            weights = rng.integers(-20, 21, size=len(pts[0])).tolist()
+            images = {p: sum(w * c for w, c in zip(weights, p)) for p in pts}
+            if rng.random() < 0.4:
+                bumped = pts[rng.integers(len(pts))]
+                images[bumped] += int(rng.integers(-3, 4))
+            check = k.freiman_check(images.__getitem__, pts)
+            assert check == freiman_check_loop(images.__getitem__, pts)
+            outcomes.add((len(pts[0]), check.ok))
+        assert outcomes == {(1, True), (1, False), (3, True), (3, False)}
+
+    def test_freiman_images_must_be_int64(self):
+        with pytest.raises(ValueError):
+            k.freiman_check(lambda p: float(k.embed_triple(*p)))
+        with pytest.raises(ValueError):
+            k.freiman_check(lambda p: p[0] + 0.5, [(i,) for i in range(1, 5)])
+        with pytest.raises(ValueError):
+            k.freiman_check(lambda p: (2**62) * p[0], [(-1,), (1,)])
+        # int8 images are widened before they are subtracted: 100 - 0 and
+        # -56 - 100 would otherwise both read 100
+        images = {0: 0, 1: 100, 3: -56}
+        assert k.freiman_check(lambda p: np.int8(images[p[0]]), [(0,), (1,), (3,)]).ok
+
+    def test_freiman_rejects_points_without_an_int64_key(self):
+        for pts in ([(0,), (2**62,)], [(0.5,), (1.5,)], [(1, 2), (3,)]):
+            with pytest.raises(ValueError):
+                k.freiman_check(lambda p: 0, pts)
+        assert k.freiman_check(lambda p: 3 * p[0], [(0,), (2**61,)]).ok
+
     def test_lift_values(self):
         f = k.lift_signal(k.sign_grid(k.reference_design()))
         assert f.value_at(73) == 1

@@ -245,6 +245,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             k.RngStream(1).child(-1)
 
+    def test_negative_word_count_rejected(self):
+        # a negative count must not rewind the stream into words already drawn
+        r = k.RngStream(0)
+        first = r.next_word()
+        with pytest.raises(ValueError):
+            r.words(-1)
+        assert r.next_word() == self.SEED0_WORDS[1] != first
+        assert r.words(0).shape == (0,)
+        assert r.next_word() == self.SEED0_WORDS[2]
+
     @pytest.mark.parametrize(
         ("seed", "index", "want"),
         [

@@ -189,10 +189,10 @@ class TestSamplingPairs:
         assert sampling_runs[3][0]["densities"] == want
         assert sampling_runs[1][0]["densities"] == want[:1]
 
-    @pytest.mark.parametrize("trials, ffts", [(1, 13), (2, 13), (3, 14), (20, 22)])
+    @pytest.mark.parametrize("trials, ffts", [(1, 3), (2, 3), (3, 4), (20, 12)])
     def test_one_fft_per_pair_of_draws(self, sampling_runs, trials, ffts):
-        # 10 flatness phases, G and P, then one transform per two draws
-        assert sampling_runs[trials][1] == ffts == 12 + (trials + 1) // 2
+        # G and P, then one transform per two draws; the flatness phases take none
+        assert sampling_runs[trials][1] == ffts == 2 + (trials + 1) // 2
 
 
 class TestReportSerialization:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ap4kit as k
 from ap4kit.errors import DegenerateQuadraticError
+from ap4kit.report import FLATNESS_TRIALS
 
 
 def _naive_coeffs(values, n):
@@ -110,6 +111,17 @@ class TestDftBasics:
             s = k.quadratic_phase_signal(m, a, b, c)
             assert np.array_equal(s.values, want)
             assert not s.values.flags.writeable
+
+    @pytest.mark.parametrize("n", [5, 101, 10007])
+    def test_pure_chirp_matches_three_term_formula(self, n):
+        # b and c that are 0 mod n are skipped; the bytes must not change
+        m = k.make_modulus(n)
+        xs = np.arange(n, dtype=np.int64)
+        table = np.exp(2j * np.pi * np.arange(n) / n)
+        for a, b, c in ((1, 0, 0), (n - 1, n, -n), (-3, 2 * n, 0), (7 * n + 2, 0, 3 * n)):
+            e = (((a % n) * (xs * xs % n) % n + (b % n) * xs) % n + c % n) % n
+            assert k.quadratic_phase_signal(m, a, b, c).values.tobytes() == table[e].tobytes()
+            assert k.quadratic_phase_signal(m, a).values.tobytes() == table[e].tobytes()
 
     def test_quadratic_phase_table_is_read_only(self):
         from ap4kit.spectra import _roots_of_unity
@@ -269,6 +281,22 @@ class TestGaussFlatness:
                 b = rng.next_word() % n
                 mags = np.abs(k.dft(k.quadratic_phase_signal(m, a, b)).coeffs)
                 assert float(np.abs(mags - n**-0.5).max()) < 1e-9
+
+
+    def test_verify_phases_flat_at_gauss_sum(self):
+        # the flatness stage of run_verify(10007, 7, 20) reads |G(a)| / n, G(a)
+        # the sum of w^(a y^2), for every coefficient of w^(a x^2 + b x); the
+        # transforms here agree with it within 3.0e-15 relative, their own rounding
+        n = 10007
+        m = k.make_modulus(n)
+        sub = k.RngStream(7).child(0)
+        for _ in range(FLATNESS_TRIALS):
+            wa, wb = sub.words(2).tolist()
+            a, b = 1 + wa % (n - 1), wb % n
+            gauss = abs(complex(k.quadratic_phase_signal(m, a).values.sum())) / n
+            mags = np.abs(k.dft(k.quadratic_phase_signal(m, a, b)).coeffs)
+            np.testing.assert_allclose(mags, gauss, rtol=1e-14, atol=0)
+            assert abs(gauss - n**-0.5) < 1e-16
 
 
 def _fft_modulated_max(m, intervals, quad):
