@@ -311,16 +311,19 @@ def build_modulated_signal(m: Modulus) -> ZnSignal:
 
     G(x) = F(x) (2 cos(2 pi x^2 / n) + 2 cos(2 pi 3 x^2 / n)), the real form of
     the four quadratic phases with exponents +-x^2, +-3x^2.  Values lie in
-    [-4, 4] and every Fourier coefficient is below 512 n^-1/2 ln n.
+    [-4, 4] and every Fourier coefficient is below 512 n^-1/2 ln n.  The
+    phases are evaluated on F's support only; every other entry is +0.0.
     """
     f = build_interval_signal(m)
     n = m.n
-    xs = np.arange(n, dtype=np.int64)
+    xs = np.flatnonzero(f.values)
     x2 = (xs * xs) % n
     phases = 2.0 * np.cos(2.0 * np.pi * x2 / n) + 2.0 * np.cos(
         2.0 * np.pi * ((3 * x2) % n) / n
     )
-    return ZnSignal(m, f.values * phases)
+    values = np.zeros(n)
+    values[xs] = f.values[xs] * phases
+    return ZnSignal(m, values)
 
 
 def build_probability_signal(m: Modulus) -> ZnSignal:

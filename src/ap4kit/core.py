@@ -151,8 +151,10 @@ def reduce_sum(values: np.ndarray) -> int | float | complex:
     An int64 array is summed in int64 when size * max|v| < 2^63, so no partial
     sum can wrap, and in Python integers otherwise; an empty one sums to 0.
     fsum rounds the exact sum once, so a float or complex sum does not depend
-    on the order of the values; complex values are summed as their real and
-    imaginary parts apart.
+    on the order of the values, and only the nonzero ones are passed to it;
+    complex values are summed as their real and imaginary parts apart.  fsum
+    of only zeros, or of none, is +0.0, so dropping the zeros keeps the sign
+    of every result.
     """
     if values.dtype == np.int64:
         if not values.size:
@@ -163,8 +165,12 @@ def reduce_sum(values: np.ndarray) -> int | float | complex:
             return int(values.sum())
         return sum(values.tolist())
     if values.dtype == np.complex128:
-        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
-    return math.fsum(values.tolist())
+        return complex(_fsum_nonzero(values.real), _fsum_nonzero(values.imag))
+    return _fsum_nonzero(values)
+
+
+def _fsum_nonzero(values: np.ndarray) -> float:
+    return math.fsum(values[values != 0].tolist())
 
 
 def signal_stats(s: ZnSignal) -> SignalStats:

@@ -18,8 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import pickle
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +140,38 @@ def load_report(path) -> VerificationReport:
     return VerificationReport(**{**obj, "checks": [CheckRecord(**c) for c in obj["checks"]]})
 
 
+class _Outcome(NamedTuple):
+    """What one stage gave: its (measured, bound, passed, vacuous) result or,
+    when it raised, the exception's type name and message, and its wall time.
+
+    Outcomes hold only plain data, so a worker process can pickle them.
+    """
+
+    result: tuple | None
+    error: tuple[str, str] | None
+    runtime_ms: float
+
+
+def _measure(fn, *args) -> _Outcome:
+    """Call fn(*args) as a stage; an exception becomes the outcome's error.
+
+    Every MemoryError, numpy's subclass included, is named "MemoryError", the
+    name ``_Runner.record`` re-raises.
+    """
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args)
+    except MemoryError as exc:
+        error = ("MemoryError", str(exc))
+    except Exception as exc:  # a failed stage is recorded; the report is kept
+        error = (type(exc).__name__, str(exc))
+    else:
+        return _Outcome(result, None, 1000.0 * (time.perf_counter() - t0))
+    return _Outcome(None, error, 1000.0 * (time.perf_counter() - t0))
+
+
 class _Runner:
-    """Runs pipeline stages in order; an exception fails its stage and skips the rest.
+    """Records pipeline stages in order; a stage that raised fails and skips the rest.
 
     MemoryError is the one exception that propagates: a host without the memory
     for a stage is an input error for the caller, not a failed check.
@@ -148,24 +182,109 @@ class _Runner:
         self.aborted = False
 
     def run(self, name: str, claim_ref: str, fn) -> None:
+        """Run fn as the next stage, unless an earlier stage failed."""
+        self.record(name, claim_ref, None if self.aborted else _measure(fn))
+
+    def record(self, name: str, claim_ref: str, outcome: _Outcome | None) -> None:
+        """Record the next stage from its outcome, computed here or elsewhere.
+
+        After a failed stage the outcome is not read, and the stage is skipped.
+        """
         if self.aborted:
             self.checks.append(CheckRecord(name, claim_ref, None, None, None, 0.0, skipped=True))
             return
-        t0 = time.perf_counter()
-        try:
-            measured, bound, passed, vacuous = fn()
-        except MemoryError:
-            raise
-        except Exception as exc:  # a failed stage is recorded; the report is kept
-            ms = 1000.0 * (time.perf_counter() - t0)
-            error = f"{type(exc).__name__}: {exc}"
-            self.checks.append(CheckRecord(name, claim_ref, {"error": error}, None, False, ms))
+        if outcome.error is not None:
+            kind, message = outcome.error
+            if kind == "MemoryError":
+                raise MemoryError(message)
+            measured = {"error": f"{kind}: {message}"}
+            self.checks.append(
+                CheckRecord(name, claim_ref, measured, None, False, outcome.runtime_ms)
+            )
             self.aborted = True
             return
-        ms = 1000.0 * (time.perf_counter() - t0)
+        measured, bound, passed, vacuous = outcome.result
         self.checks.append(
-            CheckRecord(name, claim_ref, measured, bound, passed, ms, vacuous_at_this_n=vacuous)
+            CheckRecord(
+                name, claim_ref, measured, bound, passed, outcome.runtime_ms,
+                vacuous_at_this_n=vacuous,
+            )
         )
+
+
+def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outcome]:
+    """The outcome of fn(item) for every item of a non-empty list, in item
+    order, computed in up to one process per CPU this process may run on.
+
+    The items are split into shares, largest size first, each to the share
+    with the least total size so far (the first such share on a tie).  This
+    process computes the first share and forks one worker per other share;
+    a worker pickles its share's outcomes to a pipe and leaves through
+    ``os._exit``, so it runs none of this process's clean-up.  A worker that exits without a
+    complete result has its share recomputed here, and so has a share whose
+    fork failed.  Off Linux, or with one CPU or one item, nothing is forked
+    and every outcome is computed here in the same way.  Before this returns
+    or raises, every worker has been killed, if it was still running, and
+    reaped, and every pipe is closed.
+
+    fork copies only the calling thread.  The one other thread of an
+    ap4kit process is OpenBLAS's pool, which OpenBLAS stops before a fork
+    and restarts when it is next needed.
+    """
+    count = min(len(items), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    shares: list[list[int]] = [[] for _ in range(count)]
+    totals = [0] * count
+    for i in sorted(range(len(items)), key=lambda i: -sizes[i]):
+        j = totals.index(min(totals))
+        shares[j].append(i)
+        totals[j] += sizes[i]
+    here = shares[0]
+    workers = []  # (pid, read end of its pipe, its share), until it is reaped
+    outcomes: list[_Outcome | None] = [None] * len(items)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            reader = open(read_end, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                reader.close()
+                os.close(write_end)
+                here.extend(share)
+                continue
+            if pid == 0:  # the worker
+                status = 1
+                try:
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump([_measure(fn, items[i]) for i in share], pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            workers.append((pid, reader, share))
+            os.close(write_end)
+        for i in here:
+            outcomes[i] = _measure(fn, items[i])
+        while workers:
+            pid, reader, share = workers[0]
+            data = reader.read()
+            reader.close()
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            if status == 0:
+                for i, outcome in zip(share, pickle.loads(data)):
+                    outcomes[i] = outcome
+            else:
+                for i in share:
+                    outcomes[i] = _measure(fn, items[i])
+    finally:
+        if workers:  # this process raised while they ran
+            import signal  # here, so that importing report loads nothing new
+
+            for pid, reader, _ in workers:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return outcomes
 
 
 def _log_scale(n: int) -> float:
@@ -451,6 +570,29 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     return VerificationReport(SCHEMA_VERSION, "verify", n, seed, runner.checks)
 
 
+def _scaling_row(m):
+    """One modulus's measurements, as a ``run_scaling`` stage result."""
+    n = m.n
+    f = cons.build_interval_signal(m)
+    g = cons.build_modulated_signal(m)
+    ef = apk_mean_zn([f, f, f, f]).value
+    eg = apk_mean_zn([g, g, g, g]).value
+    unif = uniformity(dft(g))
+    diff = abs(eg - 2.0 * ef)
+    mean_abs = abs(signal_stats(g).mean)
+    scale = _log_scale(n)
+    row = {
+        "n": n,
+        "uniformity": unif,
+        "difference": diff,
+        "mean_abs": mean_abs,
+        "normalized_uniformity": unif / scale,
+        "normalized_difference": diff / scale,
+        "normalized_mean_abs": mean_abs / scale,
+    }
+    return row, None, True, False
+
+
 def run_scaling(n_list: list[int]) -> VerificationReport:
     """Measure the n^-1/2 ln n series across several moduli.
 
@@ -463,37 +605,25 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     that measures nothing must not pass.  Every modulus must pass the
     interval-signal gate before any stage runs, so a modulus too small for it
     is an input error, not a failed measurement.
+
+    The moduli are measured independently, so on Linux with more than one
+    CPU they are split across forked worker processes
+    (``_outcomes_across_processes``); elsewhere they are measured here, one
+    after another.  Either way every modulus is measured, and the outcomes
+    are recorded in the order of n_list, so a failed or out-of-memory
+    measurement is reported as if the moduli had run in that order: the
+    report is the same apart from runtime_ms, which each process measures
+    for its own moduli.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
     moduli = [make_modulus(n) for n in n_list]
     for m in moduli:
         cons.interval_block_length(m)
+    outcomes = _outcomes_across_processes(_scaling_row, moduli, [m.n for m in moduli])
     runner = _Runner()
-    for m in moduli:
-        n = m.n
-
-        def measure(m=m, n=n):
-            f = cons.build_interval_signal(m)
-            g = cons.build_modulated_signal(m)
-            ef = apk_mean_zn([f, f, f, f]).value
-            eg = apk_mean_zn([g, g, g, g]).value
-            unif = uniformity(dft(g))
-            diff = abs(eg - 2.0 * ef)
-            mean_abs = abs(signal_stats(g).mean)
-            scale = _log_scale(n)
-            row = {
-                "n": n,
-                "uniformity": unif,
-                "difference": diff,
-                "mean_abs": mean_abs,
-                "normalized_uniformity": unif / scale,
-                "normalized_difference": diff / scale,
-                "normalized_mean_abs": mean_abs / scale,
-            }
-            return row, None, True, False
-
-        runner.run(f"scaling_measurements@{n}", "normalized-series-recorded", measure)
+    for m, outcome in zip(moduli, outcomes):
+        runner.record(f"scaling_measurements@{m.n}", "normalized-series-recorded", outcome)
 
     # A ratio stage runs only when every measurement passed, so checks[i] holds moduli[i]'s row.
     for i, (ma, mb) in enumerate(zip(moduli, moduli[1:])):

@@ -415,6 +415,20 @@ class TestModulatedSignal:
     def test_zero_where_interval_signal_zero(self, f10007, g10007):
         mask = f10007.values == 0
         assert np.abs(g10007.values[mask]).max() == 0.0
+        assert not np.signbit(g10007.values[mask]).any()
+
+    @pytest.mark.parametrize("n", [1201, 10007, 40009])
+    def test_support_values_match_the_dense_formula(self, n):
+        # the phases over all of Z_n, as G was built before it read F's support
+        m = k.make_modulus(n)
+        f = k.build_interval_signal(m).values
+        x2 = (np.arange(n, dtype=np.int64) ** 2) % n
+        phases = 2.0 * np.cos(2.0 * np.pi * x2 / n) + 2.0 * np.cos(2.0 * np.pi * ((3 * x2) % n) / n)
+        dense = f * phases
+        g = k.build_modulated_signal(m).values
+        support = f != 0
+        assert g[support].tobytes() == dense[support].tobytes()
+        assert g[~support].tobytes() == bytes(8 * int((~support).sum()))  # +0.0, never -0.0
 
     def test_range(self, g10007):
         stats = k.signal_stats(g10007)

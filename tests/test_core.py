@@ -189,6 +189,29 @@ class TestReduceSum:
         assert got == complex(2.0, 2.0) and type(got) is complex
         assert reduce_sum(np.zeros(0)) == 0.0
 
+    def test_fsum_reads_only_nonzero_entries(self, monkeypatch):
+        read, fsum = [], math.fsum
+
+        def fsum_spy(values):
+            read.append(values)
+            return fsum(values)
+
+        monkeypatch.setattr(k.core.math, "fsum", fsum_spy)
+        vals = np.array([0.0, 1e16, -0.0, 1.0, 0.0, -1e16, 1.0])
+        assert reduce_sum(vals) == 2.0
+        assert reduce_sum(vals * 1j + vals[::-1]) == complex(2.0, 2.0)
+        assert read == [[1e16, 1.0, -1e16, 1.0], [1.0, -1e16, 1.0, 1e16], [1e16, 1.0, -1e16, 1.0]]
+
+    @pytest.mark.parametrize("vals", [[], [0.0], [-0.0], [-0.0, -0.0, 0.0], [-0.0] * 5])
+    def test_no_nonzero_entry_sums_to_positive_zero(self, vals):
+        # what fsum of the whole list gives on Python 3.10 to 3.12
+        arr = np.array(vals, dtype=np.float64)
+        total = reduce_sum(arr)
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
+        assert math.copysign(1.0, math.fsum(vals)) == 1.0
+        z = reduce_sum(np.array([complex(v, v) for v in vals], dtype=np.complex128))
+        assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == (1.0, 1.0)
+
 
 class TestIntSignalZ:
     def test_canonical_trim(self):

@@ -5,9 +5,11 @@ import io
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -350,6 +352,166 @@ class TestRunScaling:
         assert failed.measured == {"error": "RuntimeError: no modulated signal"}
         assert all(c.skipped and c.passed is None for c in rest)
         assert not report.passed()
+
+
+_SERIES = [10007, 20011, 40009]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _crash_at(monkeypatch, exc_at):
+    """Make build_modulated_signal raise exc_at[n] at each modulus n it names."""
+    build = k.constructions.build_modulated_signal
+
+    def crashing(m):
+        if m.n in exc_at:
+            raise exc_at[m.n]
+        return build(m)
+
+    monkeypatch.setattr(k.constructions, "build_modulated_signal", crashing)
+
+
+class TestScalingWorkers:
+    """run_scaling split across forked workers against the same run in one process.
+
+    With two CPUs the parent measures 40009 and one worker 10007 and 20011.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_leftovers(self):
+        fds = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @staticmethod
+    def _sequential(monkeypatch):
+        with monkeypatch.context() as mp:
+            _cpus(mp, 1)
+            return _strip_runtime(k.run_scaling(_SERIES).to_dict())
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2), (8, 2)])
+    def test_same_report_as_one_process(self, monkeypatch, forks, cpus, workers):
+        sequential = self._sequential(monkeypatch)
+        assert forks == []
+        _cpus(monkeypatch, cpus)
+        assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
+        assert len(forks) == workers
+
+    @pytest.mark.parametrize(
+        "sizes, cpus, here",
+        [
+            ([10007, 20011, 40009], 2, [False, False, True]),
+            ([10007, 20011, 40009], 3, [False, False, True]),
+            ([5, 4, 3, 3], 2, [True, False, False, True]),  # 5 | 4, 3 | 5 + 3
+            ([3, 3, 3], 2, [True, False, True]),  # ties go to the first share
+        ],
+    )
+    def test_shares_balanced_largest_first(self, monkeypatch, forks, sizes, cpus, here):
+        _cpus(monkeypatch, cpus)
+        parent = os.getpid()
+        outcomes = report._outcomes_across_processes(
+            lambda item: (item, os.getpid() == parent), sizes, sizes
+        )
+        assert [o.result for o in outcomes] == list(zip(sizes, here))
+        assert len(forks) == cpus - 1
+
+    def test_one_modulus_forks_nothing(self, monkeypatch, forks):
+        _cpus(monkeypatch, 2)
+        assert k.run_scaling([10007]).passed()
+        assert forks == []
+
+    @pytest.mark.parametrize("failing", _SERIES)
+    def test_failure_recorded_as_in_one_process(self, monkeypatch, forks, failing):
+        _crash_at(monkeypatch, {failing: RuntimeError("no modulated signal")})
+        sequential = self._sequential(monkeypatch)
+        _cpus(monkeypatch, 2)
+        got = k.run_scaling(_SERIES)
+        assert len(forks) == 1
+        assert _strip_runtime(got.to_dict()) == sequential
+        failed = got.check(f"scaling_measurements@{failing}")
+        assert failed.measured == {"error": "RuntimeError: no modulated signal"}
+        later = got.checks[_SERIES.index(failing) + 1 :]
+        assert later and all(c.skipped and c.passed is None for c in later)
+
+    def test_worker_memory_error_exits_2(self, monkeypatch, capsys, forks):
+        _cpus(monkeypatch, 2)
+        _crash_at(monkeypatch, {20011: MemoryError("Unable to allocate 16.0 GiB")})
+        assert main(["scaling", "--n-list", "10007,20011,40009"]) == 2
+        assert len(forks) == 1
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+    def test_memory_error_after_a_failure_is_skipped(self, monkeypatch, capsys, forks):
+        # in order, 10007 fails first, so 40009 is never measured: exit 1, as in one process
+        _cpus(monkeypatch, 2)
+        _crash_at(
+            monkeypatch, {10007: RuntimeError("no modulated signal"), 40009: MemoryError("x")}
+        )
+        assert main(["scaling", "--n-list", "10007,20011,40009"]) == 1
+        assert len(forks) == 1
+        assert "[FAIL] scaling_measurements@10007" in capsys.readouterr().out
+
+    def test_worker_without_a_result_is_recomputed(self, monkeypatch, forks):
+        sequential = self._sequential(monkeypatch)
+        parent, dump = os.getpid(), pickle.dump
+
+        def exit_before_writing(obj, file):
+            if os.getpid() != parent:
+                os._exit(3)
+            dump(obj, file)
+
+        monkeypatch.setattr(pickle, "dump", exit_before_writing)
+        _cpus(monkeypatch, 2)
+        assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
+        assert len(forks) == 1
+
+    def test_failed_fork_is_computed_here(self, monkeypatch):
+        sequential = self._sequential(monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 2)
+        assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
+
+    def test_interrupted_parent_kills_its_workers(self, monkeypatch, forks):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def stall_worker_interrupt_parent(m):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise Interrupt
+
+        monkeypatch.setattr(
+            k.constructions, "build_modulated_signal", stall_worker_interrupt_parent
+        )
+        _cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            k.run_scaling(_SERIES)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
 
 
 class TestRunDemo:
