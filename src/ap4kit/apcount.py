@@ -14,17 +14,17 @@ gathered against the third (``_three_input_sum``), by one real FFT at a
 5-smooth length >= 2n.  On exact inputs the FFT's result is rounded to
 integers only when an error bound (``_fft_rounding_bound``, which states
 its source, its margin and the range of n it admits) and the rounding slack
-itself are both below 1/4, else the convolution is one big-integer multiply
-(``_cyclic_convolution``).
+itself are both below 1/4.  Otherwise the sum is not certified and takes
+the route of j >= 4 below, whose kernels are exact at every n < 2^31.
 
-With j >= 4, an input that is mostly one nonzero value is first split at
-it, when that pays.  For any value m, sum prod a_i = sum prod (a_r -> m) +
-sum prod (a_r -> a_r - m): the first term has one more constant input and
-re-enters the route tree (with k = 4, the j = 3 convolution), and the
-second replaces a_r by its deviation from m, nonzero only off m, and takes
-a j >= 4 kernel below without being split again, so the j = 3 convolution
-only sees inputs in [-64, 64], as its bound assumes.  The input
-split is the one with the fewest points o_r off its mode m_r (its most
+With j >= 4, or an uncertified j = 3, an input that is mostly one nonzero
+value is first split at it, when that pays.  For any value m, sum prod a_i
+= sum prod (a_r -> m) + sum prod (a_r -> a_r - m): the first term has one
+more constant input and re-enters the route tree (with k = 4, the j = 3
+convolution), and the second replaces a_r by its deviation from m, nonzero
+only off m, and takes a kernel below without being split again, so the
+j = 3 convolution only sees inputs in [-64, 64], as its bound assumes.  The
+input split is the one with the fewest points o_r off its mode m_r (its most
 frequent nonzero value), and only when (k - 1) o_r n is below the cost that
 ``_kernel_route`` charges the unsplit list; the packed kernel is cheap, so a
 0/1 input is split only when it is 1 on more than about 7/8 of Z_n.  Only
@@ -34,10 +34,10 @@ signals and level sets never sort.  The probability signal P = (G + 4) / 8
 is 1/2 on about 95% of Z_n, so E[P^4] becomes one j = 3 convolution plus a
 slice sum over the 5% of rows off 1/2.
 
-There are three j >= 4 kernels.  The per-d slice kernel ``_per_d_partials``
-sums over the support of one input, the pivot, and on a mirror list (inputs
-that read the same reversed, such as [s] * k) computes only half the steps
-d.  The packed slice kernel ``_packed_slice_sum`` is the same on int64
+There are three kernels, each for any k.  The per-d slice kernel
+``_per_d_partials`` sums over the support of one input, the pivot, and on a
+mirror list (inputs that read the same reversed, such as [s] * k) computes
+only half the steps d.  The packed slice kernel ``_packed_slice_sum`` is the same on int64
 inputs with values in {0, 1} (the sampled sets and level sets of the paper),
 with the product an AND and the sum over d a popcount of 64 steps per word.
 The support-pair sum ``_support_pair_sum`` enumerates the supports of an
@@ -49,8 +49,8 @@ its pivot, its pair and its step width, from k, the support sizes, n and
 whether every input is 0/1, and binds them to it; its docstring states the
 costs and the rule.  ``ap4_sum_z`` embeds its finitely supported signal in
 Z_p and takes the same routes, and ``modulated_ap4_mean`` hands its complex
-phase-weighted copies to the same choice of j >= 4 kernel (the j <= 3
-routes and the mode split take real inputs only).
+phase-weighted copies to the same choice of kernel (the j <= 3 routes and
+the mode split take real inputs only).
 
 Every sum ends in one reduction, ``core.reduce_sum``: exact on int64
 values, so exact numerators stay exact, and compensated summation (of the
@@ -206,13 +206,13 @@ def _blocks(support: np.ndarray) -> np.ndarray:
 def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex:
     """Sum over all (x, d) of prod_r arrays[r][(x + r*d) mod n], for int, real or complex arrays.
 
-    k must be at least 4.  The sum runs over the supports of the adjacent
-    pair (q, q + 1), any pair (``_kernel_route`` passes the sparsest):
-    (x, d) -> (y, z) = (x + q d, x + (q + 1) d) is a bijection of Z_n^2, so
-    y in supp(a_q) and z in supp(a_{q+1}) fix d = z - y, and input r is read
-    at x + r d = (1 - e) y + e z with e = r - q.  That index lies within |e| + |1 - e|
-    periods, so each other input is one gather from a copy tiled that many
-    times, read at a fixed multiple-of-n offset.
+    The sum runs over the supports of the adjacent pair (q, q + 1), any pair
+    (``_kernel_route`` passes the sparsest): (x, d) -> (y, z) = (x + q d,
+    x + (q + 1) d) is a bijection of Z_n^2, so y in supp(a_q) and z in
+    supp(a_{q+1}) fix d = z - y, and input r is read at x + r d = (1 - e) y
+    + e z with e = r - q.  That index lies within |e| + |1 - e| periods, so
+    each other input is one gather from a copy tiled that many times, read
+    at a fixed multiple-of-n offset.
 
     Both supports are split into blocks (``_blocks``).  For y in a block I
     and z in a block J, the read index of input r sweeps one window of
@@ -282,37 +282,6 @@ def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex
     return reduce_sum(np.concatenate(terms))
 
 
-def _cyclic_convolution(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(f * h)(t) = sum_p f(p) h((t - p) mod n), exactly, for integer arrays in [-64, 64].
-
-    Kronecker substitution: each input becomes one big integer, entry i in the
-    i-th fixed-width little-endian byte slot, and one Python multiply gives
-    the linear convolution, folded mod n afterwards.  An input with negative
-    values is first shifted by its minimum m to F = f - m >= 0; then
-    f * h = F * H + m_h sum(F) + m_f sum(H) + n m_f m_h.  A linear
-    coefficient of F * H is at most max(F) max(H) n <= 2^14 * 2^31, so it
-    fits its slot and, folded, int64.
-    """
-    n = f.shape[0]
-    shift_f, shift_h = min(int(f.min()), 0), min(int(h.min()), 0)
-    big_f, big_h = f - shift_f, h - shift_h
-    width = max(1, ((int(big_f.max()) * int(big_h.max()) * n).bit_length() + 7) // 8)
-
-    def pack(v: np.ndarray) -> int:
-        slots = np.zeros((n, width), dtype=np.uint8)
-        slots[:, 0] = v  # 0 <= v <= 128
-        return int.from_bytes(slots.tobytes(), byteorder="little")
-
-    product = pack(big_f) * pack(big_h)
-    words = np.zeros((2 * n, 8), dtype=np.uint8)
-    words[:, :width] = np.frombuffer(
-        product.to_bytes(2 * n * width, byteorder="little"), dtype=np.uint8
-    ).reshape(2 * n, width)
-    linear = words.view("<i8").ravel()  # every slot is below 2^48
-    correction = shift_h * int(big_f.sum()) + shift_f * int(big_h.sum()) + n * shift_f * shift_h
-    return linear[:n] + linear[n:] + correction
-
-
 def _smooth_length(m: int) -> int:
     """The least integer >= m >= 1 with no prime factor above 5, a fast FFT length."""
     for length in itertools.count(m):
@@ -324,25 +293,8 @@ def _smooth_length(m: int) -> int:
             return length
 
 
-def _fft_convolution(f: np.ndarray, h: np.ndarray, length: int) -> np.ndarray:
-    """(f * h)(t) = sum_p f(p) h((t - p) mod n) in float64, by one real FFT at ``length`` >= 2n.
-
-    The inputs are zero-padded to ``length``, so the transform gives their
-    linear convolution lin, which folds to lin[:n] + lin[n:2n].  At the prime
-    length n numpy takes its Bluestein path, about 5x slower at n = 10007, so
-    ``length`` is ``_smooth_length(2 n)``.  The spectra are multiplied and the
-    fold added in place, so the only transients are the two spectra.
-    """
-    n = f.shape[0]
-    spectrum = np.fft.rfft(f, length)
-    spectrum *= np.fft.rfft(h, length)
-    lin = np.fft.irfft(spectrum, length)
-    lin[:n] += lin[n : 2 * n]
-    return lin[:n]
-
-
 def _fft_rounding_bound(norm_product: float, length: int) -> float:
-    """A bound on every entry's error in ``_fft_convolution`` when ||f||_2 ||h||_2 = norm_product.
+    """A bound on every entry's error in the j = 3 FFT convolution, ||f||_2 ||h||_2 = norm_product.
 
     Percival (Rapid multiplication modulo the sum and difference of highly
     composite numbers, Math. Comp. 72, 2003, Theorem 5.1) proves that a
@@ -362,8 +314,8 @@ def _fft_rounding_bound(norm_product: float, length: int) -> float:
 
     The bound is below 1/4 for inputs with values in [-64, 64] up to
     n = 10^8, and for 0/1 inputs (||f|| ||h|| <= n) up to n = 2^31 - 1; for
-    all-64 inputs at n = 2^31 - 1 it is above 1/4, so there the big-integer
-    multiply runs.
+    all-64 inputs at n = 2^31 - 1 it is above 1/4, so there the sum is not
+    certified and takes a kernel, exact but of cost about n^2 on dense inputs.
     """
     m = math.ceil(math.log2(length))
     eps = 2.0**-53
@@ -371,7 +323,7 @@ def _fft_rounding_bound(norm_product: float, length: int) -> float:
     return 3 * 4 * norm_product * growth
 
 
-def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
+def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float | None:
     """Sum over all (x, d) of f(x + a d) g(x + b d) h(x + c d), free = [(a, f), (b, g), (c, h)].
 
     n must be prime and a < b < c < 5 <= n.  (c - b)(x + a d) + (b - a)(x + c d)
@@ -379,39 +331,44 @@ def _three_input_sum(free: list[tuple[int, np.ndarray]]) -> int | float:
     Z_n^2, so with f'(v) = f(v / (c - b)) and h'(v) = h(v / (b - a)) the sum
     is sum_y g(y) (f' * h')((c - a) y), where * is the cyclic convolution.
 
-    Both kinds of input convolve by ``_fft_convolution``.  Integer inputs
-    round the convolution to the nearest integers and keep it only when (a)
-    ``_fft_rounding_bound`` of ||f'|| ||h'|| and the transform length is below
-    1/4, so every entry rounds to its exact value, and (b) every entry lies
-    within 1/4 of its rounding, a check of the result itself.  Otherwise (the
-    range the bound admits is stated with it) they convolve by the big-integer
-    multiply ``_cyclic_convolution``.  Both kinds gather once, g times the
-    convolution at (c - a) y, and reduce the products by ``reduce_sum``.
+    Both kinds of input take one flow: dilate, convolve, gather g times the
+    convolution at (c - a) y, and reduce by ``reduce_sum``.  The convolution
+    is one real FFT at the length L = ``_smooth_length(2 n)``, since numpy's
+    Bluestein path at the prime length n is about 5x slower at n = 10007:
+    zero-padded to L, the inputs' linear convolution lin folds to lin[:n] +
+    lin[n:2n], and the product and the fold are taken in place.  Integer
+    inputs round it to the nearest integers, which is exact when (a)
+    ``_fft_rounding_bound`` of ||f'|| ||h'|| and L is below 1/4, checked
+    before the transform, and (b) every entry lies within 1/4 of its
+    rounding, a check of the result itself.  If either fails (the range the
+    bound admits is stated with it), the sum is not certified: None.
     """
     (a, f), (b, g), (c, h) = free
     n = f.shape[0]
     z = np.arange(n, dtype=np.int64)  # z times a residue < n < 2^31: no int64 wrap
     f_dil = f[z * pow(c - b, -1, n) % n]
     h_dil = h[z * pow(b - a, -1, n) % n]
-    at = z * (c - a) % n
     length = _smooth_length(2 * n)
-    if f.dtype != np.int64:
-        conv = _fft_convolution(f_dil, h_dil, length)
-    else:
-        conv = None
+    exact = f.dtype == np.int64
+    if exact:
         # |values| <= 64 and n < 2^31, so each squared norm is below 2^43: exact in int64
         norm_product = math.sqrt(float(f_dil @ f_dil) * float(h_dil @ h_dil))
-        if _fft_rounding_bound(norm_product, length) < 0.25:
-            approx = _fft_convolution(f_dil, h_dil, length)
-            rounded = np.rint(approx)
-            approx -= rounded
-            if np.abs(approx, out=approx).max() <= 0.25:
-                conv = rounded.astype(np.int64)
-        if conv is None:
-            conv = _cyclic_convolution(f_dil, h_dil)
+        if _fft_rounding_bound(norm_product, length) >= 0.25:
+            return None
+    spectrum = np.fft.rfft(f_dil, length)
+    spectrum *= np.fft.rfft(h_dil, length)
+    lin = np.fft.irfft(spectrum, length)
+    lin[:n] += lin[n : 2 * n]
+    conv = lin[:n]
+    if exact:
+        rounded = np.rint(conv)
+        conv -= rounded
+        if np.abs(conv, out=conv).max() > 0.25:
+            return None
+        conv = rounded.astype(np.int64)
     # exact: |g| <= 64 and |conv| <= ||f'|| ||h'|| < 2^43 (Cauchy-Schwarz), so
     # every int64 product is below 2^49
-    return reduce_sum(g * conv[at])
+    return reduce_sum(g * conv[z * (c - a) % n])
 
 
 def _slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int | float | complex:
@@ -478,9 +435,9 @@ def _packed_slice_sum(arrays: list[np.ndarray], p: int, width: int) -> int:
 
 
 def _kernel_route(arrays: list[np.ndarray], sizes: list[int]):
-    """(cost, route) for a j >= 4 list with support sizes s_r = sizes[r]: route() is its sum.
+    """(cost, route) for a list with support sizes s_r = sizes[r]: route() is its sum.
 
-    The one place that works out what a j >= 4 kernel rests on: the pivot p,
+    The one place that works out what a kernel rests on: the pivot p,
     the first position of min(s); the adjacent pair (q, q + 1) with the least
     s_q s_{q+1} (``_sparsest_pair``); the step width, (n + 1) / 2 on a mirror
     list (``_mirrored``), else n; and whether every input is int64 with
@@ -515,9 +472,11 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
     """Sum over all (x, d) of prod_i arrays[i][(x + i*d) mod n] by the route tree of ``apk_mean_zn``.
 
     A mode split's deviation a_r - m lies in [-128, 128] on exact inputs, so
-    its term goes straight to a j >= 4 kernel: it is never split again nor
-    handed to the j = 3 convolution, whose squared norms (exact in int64) and
-    big-integer fallback (byte slots) assume values in [-64, 64].
+    its term goes straight to a kernel: it is never split again nor handed to
+    the j = 3 convolution, whose squared norms (exact in int64) and error
+    bound assume values in [-64, 64].  A j = 3 sum that ``_three_input_sum``
+    cannot certify takes the j >= 4 route instead: the mode split, then a
+    kernel, each exact at every n < 2^31.
     ``modes`` maps the ``id`` of each input searched for its mode to
     (mode, count).  Every searched array is one of the top-level caller's
     inputs, alive for the whole call, so each distinct input is searched once.
@@ -534,7 +493,9 @@ def _pattern_sum(arrays: list[np.ndarray], modes: dict) -> int | float:
     if len(free) <= 2:
         return scale * n ** (2 - len(free)) * math.prod(reduce_sum(a) for _, a in free)
     if len(free) == 3:
-        return scale * _three_input_sum(free)
+        total = _three_input_sum(free)
+        if total is not None:
+            return scale * total
     sizes = [np.count_nonzero(a) for a in arrays]
     cost, route = _kernel_route(arrays, sizes)
     candidates = []  # (points off the mode, r, mode) for each input with support above n / 2
@@ -578,8 +539,8 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
     - j <= 2 is answered in closed form;
     - j = 3 by one cyclic convolution through the real FFT; on exact
       inputs it is rounded to integers when ``_fft_rounding_bound`` and the
-      rounding slack are both below 1/4, and is a big-integer multiply
-      otherwise;
+      rounding slack are both below 1/4, and otherwise takes the route of
+      j >= 4;
     - j >= 4 first splits the input r with the fewest points o_r off its
       nonzero mode m_r, searched only on inputs with support above n / 2,
       when (k - 1) o_r n is below the cost that ``_kernel_route`` charges
@@ -590,10 +551,11 @@ def apk_mean_zn(signals: list[ZnSignal]) -> ApMean:
 
     Every choice depends on the values' sizes, modes and n alone, and is the
     same for exact and float inputs, but for the packed slice kernel, 64
-    steps per word, which takes exact 0/1 inputs only; otherwise only the
-    reduction (Python integers or compensated summation) and the j = 3
-    convolution's rounding differ.  That rounding depends on the exact
-    inputs' values and n alone: their norms and the FFT's result.  Float
+    steps per word, which takes exact 0/1 inputs only, and for the j = 3
+    convolution's certificate, which exact inputs alone need; otherwise only
+    the reduction (Python integers or compensated summation) differs.  The
+    certificate depends on the exact inputs' values and n alone: their norms
+    and the FFT's result.  Float
     inputs are checked by ``_require_float_range``, so no sum can overflow.
     """
     k = len(signals)
@@ -623,7 +585,7 @@ def modulated_ap4_mean(s: ZnSignal, uvw: tuple[int, int, int]) -> complex:
     r (x+2d)^2) with q = v - w, r = (w - v/2)/2 and p = u - q - r mod n (2 is
     invertible since n is odd), so the mean is a plain 4-AP mean of
     phase-weighted copies of s.  The copies keep the support of s, and they
-    take the j >= 4 kernel that ``_kernel_route`` picks: the support-pair sum
+    take the kernel that ``_kernel_route`` picks: the support-pair sum
     on the sparse interval signal F, the slice kernel on a dense signal.
     """
     if s.is_complex:

@@ -250,8 +250,6 @@ class RngStream:
     ``mix(mix(seed) + (index+1) * 0x9E3779B97F4A7C15 mod 2**64)``.
     """
 
-    algorithm = "splitmix64-counter"
-
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self._position = 0

@@ -222,7 +222,7 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
     a worker pickles its share's outcomes to a pipe and leaves through
     ``os._exit``, so it runs none of this process's clean-up.  A worker that exits without a
     complete result has its share recomputed here, and so has a share whose
-    fork failed.  Off Linux, or with one CPU or one item, nothing is forked
+    pipe or fork failed.  Off Linux, or with one CPU or one item, nothing is forked
     and every outcome is computed here in the same way.  Before this returns
     or raises, every worker has been killed, if it was still running, and
     reaped, and every pipe is closed.
@@ -243,15 +243,16 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
     outcomes: list[_Outcome | None] = [None] * len(items)
     try:
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            reader = open(read_end, "rb")
+            ends = ()
             try:
+                ends = os.pipe()
                 pid = os.fork()
-            except OSError:
-                reader.close()
-                os.close(write_end)
+            except OSError:  # no pipe (EMFILE) or no fork (EAGAIN): the share is measured here
+                for end in ends:
+                    os.close(end)
                 here.extend(share)
                 continue
+            read_end, write_end = ends
             if pid == 0:  # the worker
                 status = 1
                 try:
@@ -260,7 +261,7 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
                     status = 0
                 finally:
                     os._exit(status)
-            workers.append((pid, reader, share))
+            workers.append((pid, open(read_end, "rb"), share))
             os.close(write_end)
         for i in here:
             outcomes[i] = _measure(fn, items[i])
@@ -371,7 +372,6 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
 
     def interval_exact():
         f = cons.build_interval_signal(m)
-        state["F"] = f
         t = cons.interval_block_length(m)
         p = cons.interval_progression_count(t)
         mean = apk_mean_zn([f, f, f, f])
@@ -672,7 +672,6 @@ def run_demo_quadratic(n: int, c: float) -> VerificationReport:
 
     def uniformity_check():
         unif = uniformity(dft(state["A"]))
-        state["uniformity"] = unif
         bound = state["density"] / 2.0
         return {"value": unif, "density": state["density"]}, bound, unif <= bound, False
 

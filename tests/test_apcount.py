@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ import ap4kit as k
 from ap4kit import apcount
 from ap4kit.apcount import (
     _blocks,
-    _cyclic_convolution,
     _fft_rounding_bound,
+    _kernel_route,
     _mirrored,
     _packed_slice_sum,
     _per_d_partials,
@@ -73,13 +72,24 @@ def _pair_args(arrays):
     return arrays, _sparsest_pair([np.count_nonzero(a) for a in arrays])
 
 
-def _kronecker_three_input_sum(free):
-    """The j = 3 sum with the big-integer convolution, gathered in Python integers."""
-    (a, f), (b, g), (c, h) = free
-    n = f.shape[0]
-    z = np.arange(n)
-    conv = _cyclic_convolution(f[z * pow(c - b, -1, n) % n], h[z * pow(b - a, -1, n) % n])
-    return sum(map(operator.mul, g.tolist(), conv[z * (c - a) % n].tolist()))
+def _direct_three_input_sum(free):
+    """The j = 3 sum over free = [(a, f), (b, g), (c, h)] as a direct double sum over (x, d),
+    vectorised over x: in Python integers on int64 inputs (each per-d sum is at most n 64^3),
+    by compensated summation on floats."""
+    n = free[0][1].shape[0]
+    x = np.arange(n)
+    partials = [math.prod(v[(x + p * d) % n] for p, v in free).sum().item() for d in range(n)]
+    return sum(partials) if free[0][1].dtype == np.int64 else math.fsum(partials)
+
+
+def _kernel_three_input_sum(free):
+    """The j = 3 sum by the kernel that ``_kernel_route`` picks for the list with the free
+    inputs at their positions and 1 at every other position."""
+    n = free[0][1].shape[0]
+    arrays = [np.ones(n, dtype=np.int64) for _ in range(free[-1][0] + 1)]
+    for p, v in free:
+        arrays[p] = v
+    return _kernel_route(arrays, [np.count_nonzero(a) for a in arrays])[1]()
 
 
 def _random_int_signal(n, seed, lo=-2, hi=2):
@@ -377,7 +387,7 @@ class TestKernel:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
                 assert total == pytest.approx(sum(want), rel=1e-12, abs=1e-9)
-        for q in range(count - 1) if count >= 4 else ():
+        for q in range(count - 1):
             total = _support_pair_sum(arrays, q)
             if dtype == np.int64:
                 assert type(total) is int and total == sum(want)
@@ -486,12 +496,12 @@ class TestThreeInputFloat:
 
     @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009])
     def test_matches_exact(self, n):
-        # integer values as floats, so the big-integer convolution is the oracle;
+        # integer values as floats, so the exact direct sum is the oracle;
         # every position triple a < b < c < 5
         rng = np.random.default_rng(n)
         for positions in itertools.combinations(range(5), 3):
             ints = [rng.integers(-64, 65, n) for _ in positions]
-            want = _kronecker_three_input_sum(list(zip(positions, ints)))
+            want = _direct_three_input_sum(list(zip(positions, ints)))
             got = _three_input_sum([(p, v.astype(np.float64)) for p, v in zip(positions, ints)])
             assert type(got) is float
             assert abs(got - want) <= 1e-12 * n * n * 64**3
@@ -508,80 +518,116 @@ class TestThreeInputFloat:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
-def _spy(monkeypatch, name):
-    """Count the calls of apcount's function ``name``, which still runs."""
-    calls = []
-    original = getattr(apcount, name)
+_KERNELS = ("_slice_sum", "_packed_slice_sum", "_support_pair_sum")
 
-    def spy(*args):
-        calls.append(args[0].shape[0])
-        return original(*args)
 
-    monkeypatch.setattr(f"ap4kit.apcount.{name}", spy)
-    return calls
+def _fall_through_cases(n):
+    """Lists of k = 3, 4 and 5 signals with three free inputs at every choice of positions
+    and constants at the others: dense values in [-64, 64], sparse ones and 0/1 sets, so
+    that each kernel takes some of them when the FFT is not certified."""
+    rng = np.random.default_rng(n)
+    m = k.make_modulus(n)
+    kinds = [
+        (lambda: rng.integers(-64, 65, n), -3),
+        (lambda: _kernel_values(rng, n, max(2, n // 20), np.int64), -3),
+        (lambda: rng.integers(0, 2, n), 1),
+    ]
+    for values, c in kinds:
+        for count in (3, 4, 5):
+            for positions in itertools.combinations(range(count), 3):
+                yield [
+                    k.ZnSignal(m, values()) if i in positions else k.constant_signal(m, c)
+                    for i in range(count)
+                ]
 
 
 class TestThreeInputExact:
-    """The exact j = 3 convolution: the real FFT rounded under Percival's bound, else the
-    big-integer multiply."""
+    """The exact j = 3 convolution: the real FFT rounded under Percival's bound and checked
+    against its rounding; a sum it cannot certify falls through to a kernel."""
 
-    @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009, 10007])
-    def test_matches_kronecker(self, monkeypatch, n):
-        kronecker = _spy(monkeypatch, "_cyclic_convolution")
+    @pytest.mark.parametrize("n", [5, 7, 11, 101, 1009])
+    def test_matches_brute_force(self, n):
+        # random values in [-64, 64] at every position triple, and constant +/-64 inputs,
+        # the largest norms, whose sum is n^2 times the product of the values
         rng = np.random.default_rng(n)
         extremes = [np.full(n, v, dtype=np.int64) for v in (64, -64)]
         for positions in itertools.combinations(range(5), 3):
-            cases = [[rng.integers(-64, 65, n) for _ in positions]]
-            cases += [list(ints) for ints in itertools.product(extremes, repeat=3)]
-            for ints in cases:
-                free = list(zip(positions, ints))
-                want = _kronecker_three_input_sum(free)
-                del kronecker[:]
-                got = _three_input_sum(free)
-                assert type(got) is int and got == want
-                assert kronecker == []
+            free = list(zip(positions, [rng.integers(-64, 65, n) for _ in positions]))
+            got = _three_input_sum(free)
+            assert type(got) is int and got == _direct_three_input_sum(free)
+            for ints in itertools.product(extremes, repeat=3):
+                got = _three_input_sum(list(zip(positions, ints)))
+                assert type(got) is int and got == n * n * math.prod(int(v[0]) for v in ints)
 
-    def test_indicators_match_kronecker(self, monkeypatch):
+    def test_matches_kernel_route(self):
+        n = 10007
+        rng = np.random.default_rng(n)
+        for positions in itertools.combinations(range(5), 3):
+            free = list(zip(positions, [rng.integers(-64, 65, n) for _ in positions]))
+            got = _three_input_sum(free)
+            assert type(got) is int and got == _kernel_three_input_sum(free)
+
+    def test_indicators_match_kernel_route(self):
         n = 20011
-        kronecker = _spy(monkeypatch, "_cyclic_convolution")
         rng = np.random.default_rng(3)
         for positions in itertools.combinations(range(5), 3):
             free = [(p, rng.integers(0, 2, n)) for p in positions]
-            want = _kronecker_three_input_sum(free)
-            del kronecker[:]
-            assert _three_input_sum(free) == want
-            assert kronecker == []
+            got = _three_input_sum(free)
+            assert type(got) is int and got == _kernel_three_input_sum(free)
 
     def test_sets_workload_takes_fft(self, monkeypatch):
-        # the quadratic level set's 3-AP mean and the sampled set A's exact count
+        # the quadratic level set's 3-AP mean and the sampled set A's exact count are each
+        # one certified FFT convolution; the kernels run on the level set's 4-AP mean alone
         n = 20011
         m = k.make_modulus(n)
         a = k.sample_indicator(k.build_probability_signal(m), k.RngStream(42))
-        kronecker = _spy(monkeypatch, "_cyclic_convolution")
-        fft = _spy(monkeypatch, "_fft_convolution")
+        sums = []
+        three_input_sum = apcount._three_input_sum
+
+        def spy(free):
+            sums.append(three_input_sum(free))
+            return sums[-1]
+
+        monkeypatch.setattr("ap4kit.apcount._three_input_sum", spy)
+        recorder = _Recorder(monkeypatch)
         report = k.run_demo_quadratic(n, 0.05)
         assert report.passed()
         assert k.apk_mean_zn([a] * 3).exact_numerator > 0
-        assert fft == [n, n] and kronecker == []
+        assert len(sums) == 2 and all(type(v) is int for v in sums)
+        assert [(name, len(arrays)) for name, arrays in recorder.kernels()] == [
+            ("_packed_slice_sum", 4)
+        ]
 
     @staticmethod
-    def _numerator_and_routes(monkeypatch, n):
-        rng = np.random.default_rng(n)
-        signal = k.ZnSignal(k.make_modulus(n), rng.integers(-64, 65, n))
-        kronecker = _spy(monkeypatch, "_cyclic_convolution")
-        return k.apk_mean_zn([signal] * 3).exact_numerator, kronecker
+    def _numerators_and_kernels(monkeypatch, n):
+        """(numerator, the kernels that ran) for each fall-through case."""
+        results = []
+        for signals in _fall_through_cases(n):
+            with monkeypatch.context() as patch:
+                recorder = _Recorder(patch)
+                numerator = k.apk_mean_zn(signals).exact_numerator
+            results.append((numerator, [name for name, _ in recorder.kernels()]))
+        return results
+
+    @classmethod
+    def _check_falls_through(cls, monkeypatch, n, want):
+        # the same numerators, each by one kernel (on the deviation, if the input was split),
+        # and every kernel takes some of the cases
+        got = cls._numerators_and_kernels(monkeypatch, n)
+        assert [v for v, _ in got] == [v for v, _ in want]
+        assert all(len(kernels) == 1 for _, kernels in got)
+        assert {kernels[0] for _, kernels in got} == set(_KERNELS)
 
     @pytest.mark.parametrize("n", [7, 1009])
     def test_bound_over_threshold_falls_back(self, monkeypatch, n):
-        want, kronecker = self._numerator_and_routes(monkeypatch, n)
-        assert kronecker == []
+        want = self._numerators_and_kernels(monkeypatch, n)
+        assert all(kernels == [] for _, kernels in want)
         monkeypatch.setattr("ap4kit.apcount._fft_rounding_bound", lambda norm_product, length: 0.5)
-        got, kronecker = self._numerator_and_routes(monkeypatch, n)
-        assert got == want and kronecker == [n]
+        self._check_falls_through(monkeypatch, n, want)
 
     @pytest.mark.parametrize("n", [7, 1009])
     def test_rounding_slack_falls_back(self, monkeypatch, n):
-        want, kronecker = self._numerator_and_routes(monkeypatch, n)
+        want = self._numerators_and_kernels(monkeypatch, n)
         irfft = np.fft.irfft
 
         def shifted(*args, **kwargs):
@@ -590,8 +636,7 @@ class TestThreeInputExact:
             return lin
 
         monkeypatch.setattr(np.fft, "irfft", shifted)
-        got, kronecker = self._numerator_and_routes(monkeypatch, n)
-        assert got == want and kronecker == [n]
+        self._check_falls_through(monkeypatch, n, want)
 
     def test_bound_pinned(self):
         # m = ceil(log2(1024)) = 10: 3 * 4 * ((1 + eps)^60 (1 + eps sqrt 5)^31 - 1)
@@ -611,8 +656,8 @@ class TestThreeInputExact:
 
     def test_bound_admits_the_stated_range(self):
         # the range in _fft_rounding_bound's docstring: all-+/-64 inputs have
-        # ||f'|| ||h'|| = 4096 n, admitted up to n = 10^8 and left to the big-integer
-        # multiply at 2^31 - 1; 0/1 inputs have at most n, admitted up to 2^31 - 1
+        # ||f'|| ||h'|| = 4096 n, admitted up to n = 10^8 and left to a kernel at
+        # 2^31 - 1; 0/1 inputs have at most n, admitted up to 2^31 - 1
         for n in (10**6, 10**8, 2**31 - 1):
             length = _smooth_length(2 * n)
             assert (_fft_rounding_bound(4096.0 * n, length) < 0.25) is (n < 2**31 - 1)
@@ -687,7 +732,7 @@ class TestBlocks:
     """The support-pair sum on supports made of runs, which it splits into blocks."""
 
     @pytest.mark.parametrize("n", [101, 211])
-    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("count", [3, 4, 5])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
     @pytest.mark.parametrize("wide", [False, True])
     def test_runs_match_brute_force(self, n, count, dtype, wide):
@@ -748,10 +793,12 @@ def _indicator(rng, n, density):
 def _packed_cases(n, count, seed):
     """(arrays, mirrored) of 0/1 inputs: the sparsest input at each position of a
     list that is not a mirror list, at each position of the first half of a mirror
-    list, and a list with a constant-1 input."""
+    list, and a list with a constant-1 input.  The first and last inputs of a list
+    that is not a mirror list differ at 0, so no draw makes it one."""
     rng = np.random.default_rng(seed)
     for pivot in range(count):
         arrays = [_indicator(rng, n, 0.3 if i == pivot else 0.7) for i in range(count)]
+        arrays[0][0], arrays[-1][0] = 1, 0
         yield arrays, False
     size = (count + 1) // 2
     for pivot in range(size):
@@ -759,6 +806,7 @@ def _packed_cases(n, count, seed):
         yield half + half[::-1][count % 2 :], True
     arrays = [_indicator(rng, n, 0.5) for _ in range(count)]
     arrays[1] = np.ones(n, dtype=np.int64)
+    arrays[0][0], arrays[-1][0] = 1, 0
     yield arrays, False
 
 
@@ -766,7 +814,7 @@ class TestPackedSliceSum:
     """The packed slice kernel on 0/1 inputs against the slice kernel and a plain double sum."""
 
     @pytest.mark.parametrize("n", [5, 7, 11, 127])
-    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("count", [3, 4, 5])
     def test_matches_slice_kernel_and_brute_force(self, n, count):
         # width < 64 at n <= 11; at n = 127 a mirror list's width is exactly one word
         for arrays, mirrored in _packed_cases(n, count, seed=n + count):
@@ -777,7 +825,7 @@ class TestPackedSliceSum:
             assert got == sum(_brute_partials([a.tolist() for a in arrays]))
 
     @pytest.mark.parametrize("n", [1009, 20011])
-    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("count", [3, 4, 5])
     def test_large_moduli_match_slice_kernel(self, n, count):
         # at 20011 the pivot's rows span several chunks, mirror list or not
         rng = np.random.default_rng(n + count)
@@ -797,7 +845,7 @@ class TestPackedSliceSum:
         assert _packed_slice_sum(*_slice_args(arrays)) == 0
 
     @pytest.mark.parametrize("n", [5, 7, 11, 101])
-    @pytest.mark.parametrize("count", [4, 5])
+    @pytest.mark.parametrize("count", [3, 4, 5])
     def test_every_pivot_matches_slice_kernel(self, n, count):
         # every pivot p at width n, and at (n + 1) / 2 too on a mirror list
         for arrays, mirrored in _packed_cases(n, count, seed=10 * n + count):
@@ -1193,36 +1241,6 @@ class TestClosedForms:
                     k.apk_mean_zn(sigs)
 
 
-class TestCyclicConvolution:
-    """The big-integer convolution against a direct O(n^2) cyclic convolution."""
-
-    @pytest.mark.parametrize(
-        "n, f_range, h_range",
-        [
-            (7, (0, 52), (0, 1)),  # largest coefficient 52 * 5 = 260 > 2^8
-            (11, (-64, 64), (-64, -7)),  # shifted: 128 * 57 * 9 = 65664 > 2^16
-            (1031, (-64, 64), (-64, 64)),  # shifted: 128^2 * 1029 > 2^24
-            (5, (0, 0), (-3, 3)),  # an all-zero input
-        ],
-    )
-    @pytest.mark.parametrize("spread", [False, True])
-    def test_matches_direct(self, n, f_range, h_range, spread):
-        rng = np.random.default_rng(n)
-
-        def values(lo, hi):
-            # without spread every entry but the first is the maximum, so after
-            # the shift the largest linear coefficient is max(F) max(H) (n - 2)
-            v = rng.integers(lo, hi + 1, n) if spread else np.full(n, hi)
-            v[:2] = lo, hi
-            return v.astype(np.int64)
-
-        f, h = values(*f_range), values(*h_range)
-        z = np.arange(n)
-        want = [int(np.dot(f, h[(t - z) % n])) for t in range(n)]
-        assert _cyclic_convolution(f, h).tolist() == want
-        assert _cyclic_convolution(h, f).tolist() == want
-
-
 def _ap4_mean_profile(s):
     """Per-d means: entry d is E_x s(x)s(x+d)s(x+2d)s(x+3d); their average is the 4-AP mean."""
     return _per_d_partials(*_slice_args([s.values.astype(np.float64)] * 4)) / s.n
@@ -1287,6 +1305,9 @@ def _pinned_signal(name, n):
         return k.sample_indicator(k.build_probability_signal(m), k.RngStream(42))
     if name == "Q":
         return k.quadratic_level_set(m, 0.05)
+    if name == "wide":
+        # values spread over all of [-64, 64]: the largest norms of the pinned j = 3 sums
+        return k.ZnSignal(m, [(7 * x * x + 3 * x) % 129 - 64 for x in range(n)])
     # the Legendre symbol: 0 at 0, else +/-1 by Euler's criterion
     return k.ZnSignal(m, [0] + [1 if pow(x, (n - 1) // 2, n) == 1 else -1 for x in range(1, n)])
 
@@ -1306,6 +1327,7 @@ def _pinned_signal(name, n):
         ("Q", 20011, 3, 401293),
         ("Q", 20011, 4, 120083),
         ("Q", 20011, 5, 49657),
+        ("wide", 100003, 3, 61953711491),
         ("chi", 10007, 4, -1040624),
         ("chi", 10007, 5, 0),
         ("P", 10007, 4, 0.0620291172245627),
@@ -1316,9 +1338,10 @@ def _pinned_signal(name, n):
 )
 def test_recorded_counts(name, n, kk, want):
     # F takes the support-pair sum; A and the level set the packed kernel at
-    # k >= 4 and the FFT convolution at k = 3 (recorded from the big-integer
-    # multiply alone); the Legendre symbol the mirrored int64 slice kernel;
-    # P the mode split, within 1e-12 relative of its means recorded before it
+    # k >= 4 and the FFT convolution at k = 3 (recorded from a big-integer
+    # convolution, which "wide" matched too); the Legendre symbol the mirrored
+    # int64 slice kernel; P the mode split, within 1e-12 relative of its means
+    # recorded before it
     mean = k.apk_mean_zn([_pinned_signal(name, n)] * kk)
     if name == "P":
         assert math.isclose(mean.value, want, rel_tol=1e-12)

@@ -492,6 +492,21 @@ class TestScalingWorkers:
         _cpus(monkeypatch, 2)
         assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
 
+    def test_failed_pipe_is_computed_here(self, monkeypatch, capsys, forks):
+        # out of file descriptors: the share is measured here, as after a failed fork,
+        # and the command still exits 0
+        sequential = self._sequential(monkeypatch)
+
+        def no_pipe():
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        _cpus(monkeypatch, 2)
+        assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
+        assert main(["scaling", "--n-list", "10007,20011,40009"]) == 0
+        assert "[PASS] scaling_ratio@20011->40009" in capsys.readouterr().out
+        assert forks == []
+
     def test_interrupted_parent_kills_its_workers(self, monkeypatch, forks):
         class Interrupt(BaseException):
             pass
