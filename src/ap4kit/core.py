@@ -98,7 +98,7 @@ class ZnSignal:
     across threads.
     """
 
-    __slots__ = ("modulus", "values", "exact")
+    __slots__ = ("modulus", "values")
 
     def __init__(self, modulus: Modulus, values) -> None:
         arr = np.asarray(values)
@@ -106,17 +106,13 @@ class ZnSignal:
             raise ValueError(f"expected {modulus.n} values, got shape {arr.shape}")
         if np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
             arr = arr.astype(np.int64)
-            exact = True
         elif np.issubdtype(arr.dtype, np.complexfloating):
             arr = arr.astype(np.complex128)
-            exact = False
         else:
             arr = arr.astype(np.float64)
-            exact = False
         arr.setflags(write=False)  # astype returned a new array, so the caller holds no alias
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ZnSignal is immutable")
@@ -127,6 +123,10 @@ class ZnSignal:
     @property
     def n(self) -> int:
         return self.modulus.n
+
+    @property
+    def exact(self) -> bool:
+        return self.values.dtype == np.int64
 
     @property
     def is_complex(self) -> bool:

@@ -15,6 +15,7 @@ comparison (plus any recorded exact identities in the same check).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -173,8 +174,12 @@ def _measure(fn, *args) -> _Outcome:
 class _Runner:
     """Records pipeline stages in order; a stage that raised fails and skips the rest.
 
-    MemoryError is the one exception that propagates: a host without the memory
-    for a stage is an input error for the caller, not a failed check.
+    A pipeline is a generator that yields one (measured, bound, passed,
+    vacuous) result per stage, so a stage is the code before its yield; a
+    table of (name, claim_ref) rows names its stages in order, and
+    ``run_all`` runs each row through ``run``.  MemoryError is the one
+    exception that propagates: a host without the memory for a stage is an
+    input error for the caller, not a failed check.
     """
 
     def __init__(self) -> None:
@@ -184,6 +189,13 @@ class _Runner:
     def run(self, name: str, claim_ref: str, fn) -> None:
         """Run fn as the next stage, unless an earlier stage failed."""
         self.record(name, claim_ref, None if self.aborted else _measure(fn))
+
+    def run_all(self, stages, results) -> None:
+        """Run each (name, claim_ref) row of stages as the next result of the
+        generator results; after a failed stage it is not resumed."""
+        step = functools.partial(next, results)
+        for name, claim_ref in stages:
+            self.run(name, claim_ref, step)
 
     def record(self, name: str, claim_ref: str, outcome: _Outcome | None) -> None:
         """Record the next stage from its outcome, computed here or elsewhere.
@@ -292,19 +304,35 @@ def _log_scale(n: int) -> float:
     return math.log(n) / math.sqrt(n)
 
 
+# The stages of ``verify`` as (name, claim_ref), in the order ``_verify_results`` runs them.
+_VERIFY_STAGES = (
+    ("grid_design_valid", "off-diagonal-lines-meet-design-once"),
+    ("grid_line_census", "line-census-48-24-4"),
+    ("freiman_embedding", "difference-map-bijective-on-vector-differences"),
+    ("lift_ap4_sum", "ap4-sum-of-lift-equals--72"),
+    ("interval_signal_ap4", "ap4-numerator-equals--72p"),
+    ("interval_signal_mean", "ap4-mean-at-most--1e-5"),
+    ("quadratic_phase_flatness", "phase-spectrum-flat-at-n^-1/2"),
+    ("modulated_interval_uniformity", "interval-times-phase-coefficients-below-2n^-1/2-ln-n"),
+    ("modulated_signal_spectrum", "modulated-coefficients-below-512n^-1/2-ln-n"),
+    ("pattern_classification", "exactly-two-null-patterns-both-v-zero"),
+    ("modulated_vs_interval_mean", "ap4-mean-difference-below-2^18n^-1/2-ln-n"),
+    ("probability_signal", "range-[0,1]-spectrum-g/8-mean-near-1/2"),
+    ("product_expansion_16_terms", "bracket-expansion-matches-direct-mean"),
+    ("sampling_concentration", "sampled-spectrum-within-n^-1/2-ln-n"),
+)
+
+
 def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     """Execute the full verification pipeline at modulus n.
 
-    Stages run in construction order: design validation, line census, the
-    difference-map check, the lifted -72 sum, the exact interval-signal
-    numerator, phase flatness over ``FLATNESS_TRIALS`` random quadratic
-    phases, modulated-interval coefficients over ``MODULATED_TRIALS`` random
-    intervals and phases, the modulated signal's spectrum, pattern
-    classification, the mean-difference bound, the probability signal, the
-    16-term bracket expansion, and ``trials`` independent rounding draws
-    checked against the n^-1/2 ln n concentration threshold.  Deterministic
-    given (n, seed, trials).  ``trials`` below 1 is a ValueError: a
-    concentration check over no draws measures nothing.
+    The stages are the rows of ``_VERIFY_STAGES``, in construction order;
+    the phase-flatness and modulated-interval spot checks draw
+    ``FLATNESS_TRIALS`` and ``MODULATED_TRIALS`` cases, and the sampling
+    stage ``trials`` independent rounding draws, checked against the
+    n^-1/2 ln n concentration threshold.  Deterministic given
+    (n, seed, trials).  ``trials`` below 1 is a ValueError: a concentration
+    check over no draws measures nothing.
 
     Every progression sum goes through ``apk_mean_zn``, which picks the
     route.  Neither spot check takes a transform; both complete the square.
@@ -326,248 +354,189 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     if trials < 1:
         # checked before the stages, so that --trials 0 is an input error and not a pass
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = RngStream(seed)
     runner = _Runner()
-    state: dict = {}
-
-    def design_valid():
-        design = cons.reference_design()
-        state["design"] = design
-        check = cons.validate_design(design)
-        return {"violations": len(check.violations)}, None, check.ok, False
-
-    runner.run("grid_design_valid", "off-diagonal-lines-meet-design-once", design_valid)
-
-    def line_census():
-        lines = cons.enumerate_lines()
-        counts = {
-            kind: sum(1 for l in lines if l.kind == kind)
-            for kind in (cons.AXIS, cons.PLANE_DIAGONAL, cons.MAIN_DIAGONAL)
-        }
-        measured = {"total": len(lines), **counts}
-        ok = (
-            len(lines) == 76
-            and counts[cons.AXIS] == 48
-            and counts[cons.PLANE_DIAGONAL] == 24
-            and counts[cons.MAIN_DIAGONAL] == 4
-        )
-        return measured, None, ok, False
-
-    runner.run("grid_line_census", "line-census-48-24-4", line_census)
-
-    def freiman():
-        check = cons.freiman_check()
-        return {"ok": check.ok}, None, check.ok, False
-
-    runner.run("freiman_embedding", "difference-map-bijective-on-vector-differences", freiman)
-
-    def lift_sum():
-        signs = cons.sign_grid(state["design"])
-        lift_total = ap4_sum_z(cons.lift_signal(signs))
-        grid_total = cons.grid_ap4_sum(signs)
-        measured = {"lift_sum": lift_total, "grid_sum": grid_total}
-        return measured, None, lift_total == -72 and grid_total == -72, False
-
-    runner.run("lift_ap4_sum", "ap4-sum-of-lift-equals--72", lift_sum)
-
-    def interval_exact():
-        f = cons.build_interval_signal(m)
-        t = cons.interval_block_length(m)
-        p = cons.interval_progression_count(t)
-        mean = apk_mean_zn([f, f, f, f])
-        state["EF"] = mean.value
-        measured = {"t": t, "p": p, "numerator": mean.exact_numerator}
-        return measured, None, mean.exact_numerator == -72 * p, False
-
-    runner.run("interval_signal_ap4", "ap4-numerator-equals--72p", interval_exact)
-
-    def interval_mean():
-        return {"value": state["EF"]}, -1e-5, state["EF"] <= -1e-5, False
-
-    runner.run("interval_signal_mean", "ap4-mean-at-most--1e-5", interval_mean)
-
-    def flatness():
-        # Every coefficient of w^(a x^2 + b x) has modulus |G(a)| / n, with
-        # G(a) the Gauss sum of w^(a y^2).  b only changes their phases, so
-        # its word is drawn, to keep the stream's positions, and not read.
-        sub = rng.child(0)
-        target = 1.0 / math.sqrt(n)
-        worst = 0.0
-        for _ in range(FLATNESS_TRIALS):
-            wa, _wb = sub.words(2).tolist()
-            gauss = complex(quadratic_phase_signal(m, 1 + wa % (n - 1)).values.sum())
-            worst = max(worst, abs(abs(gauss) / n - target))
-        return {"value": worst, "trials": FLATNESS_TRIALS}, 1e-9, worst <= 1e-9, False
-
-    runner.run("quadratic_phase_flatness", "phase-spectrum-flat-at-n^-1/2", flatness)
-
-    def modulated_intervals():
-        sub = rng.child(1)
-        bound = 2.0 * _log_scale(n)
-        worst = 0.0
-        for _ in range(MODULATED_TRIALS):
-            ws, wl, wa, wb, wc = sub.words(5).tolist()
-            interval = IntervalZn(ws % n, 1 + wl % (n - 1))
-            a, b, c = 1 + wa % (n - 1), wb % n, wc % n
-            worst = max(worst, modulated_interval_uniformity_check(m, interval, (a, b, c)))
-        return {"value": worst, "trials": MODULATED_TRIALS}, bound, worst <= bound, False
-
-    runner.run(
-        "modulated_interval_uniformity",
-        "interval-times-phase-coefficients-below-2n^-1/2-ln-n",
-        modulated_intervals,
-    )
-
-    def g_spectrum():
-        g = cons.build_modulated_signal(m)
-        state["G"] = g
-        sp = dft(g)
-        state["spG"] = sp
-        bound = 512.0 * _log_scale(n)
-        top = max_coefficient(sp)
-        measured = {
-            "value": top,
-            "uniformity": uniformity(sp),
-            "mean": signal_stats(g).mean,
-        }
-        # |G| <= 4 already caps every coefficient at 4, so the bound is
-        # informative only once 512 n^-1/2 ln n < 4.
-        return measured, bound, top <= bound, bound >= 4.0
-
-    runner.run(
-        "modulated_signal_spectrum", "modulated-coefficients-below-512n^-1/2-ln-n", g_spectrum
-    )
-
-    def patterns():
-        cls = cons.classify_patterns()
-        null_sigs = sorted((pc.p, pc.q, pc.r, pc.s) for pc in cls.null)
-        ok = (
-            null_sigs == [(-1, 3, -3, 1), (1, -3, 3, -1)]
-            and all(pc.v == 0 for pc in cls.null)
-            and len(cls.all_patterns) == 256
-        )
-        measured = {"null_count": len(cls.null), "null_v": [pc.v for pc in cls.null]}
-        return measured, None, ok, False
-
-    runner.run("pattern_classification", "exactly-two-null-patterns-both-v-zero", patterns)
-
-    def mean_difference():
-        eg = apk_mean_zn([state["G"]] * 4).value
-        state["EG"] = eg
-        diff = abs(eg - 2.0 * state["EF"])
-        bound = 2.0**18 * _log_scale(n)
-        measured = {"value": diff, "modulated_mean": eg, "interval_mean": state["EF"]}
-        # The trivial cap is |EG| + 2|EF| <= 4^4 + 2.
-        return measured, bound, diff <= bound, bound >= 258.0
-
-    runner.run(
-        "modulated_vs_interval_mean", "ap4-mean-difference-below-2^18n^-1/2-ln-n", mean_difference
-    )
-
-    def probability():
-        p_sig = cons.build_probability_signal(m)
-        state["P"] = p_sig
-        sp_p = dft(p_sig)
-        bound64 = 64.0 * _log_scale(n)
-        stats = signal_stats(p_sig)
-        spectrum_err = float(
-            np.abs(sp_p.coeffs[1:] - state["spG"].coeffs[1:] / 8.0).max()
-        )
-        mean_offset = abs(stats.mean - 0.5)
-        unif = uniformity(sp_p)
-        measured = {
-            "min": stats.minimum,
-            "max": stats.maximum,
-            "max_spectrum_error": spectrum_err,
-            "mean_offset": mean_offset,
-            "uniformity": unif,
-            "bound_64": bound64,
-        }
-        ok = (
-            stats.minimum >= 0.0
-            and stats.maximum <= 1.0
-            and spectrum_err <= 1e-12
-            and mean_offset <= bound64
-            and unif <= bound64
-        )
-        return measured, None, ok, bound64 >= 0.5
-
-    runner.run(
-        "probability_signal", "range-[0,1]-spectrum-g/8-mean-near-1/2", probability
-    )
-
-    def expansion():
-        ones = constant_signal(m, 1)
-        g = state["G"]
-        # Each distinct term is computed once.  The closed forms for one or
-        # two G's do not read their positions, and the j = 3 convolution
-        # reads only the gaps between three, through a commuting product, so
-        # gaps and reversed gaps give the same floats.
-        means = {}
-        total = 0.0
-        for size in range(4):
-            for positions in itertools.combinations(range(4), size):
-                gaps = tuple(b - a for a, b in zip(positions, positions[1:]))
-                key = min(gaps, gaps[::-1]) if size == 3 else size
-                if key not in means:
-                    sigs = [g if i in positions else ones for i in range(4)]
-                    means[key] = apk_mean_zn(sigs).value
-                total += 4.0 ** (4 - size) * means[key]
-        total += state["EG"]
-        total *= 2.0**-12
-        lead_term = 2.0**-12 * 4.0**4 * means[0]
-        direct = apk_mean_zn([state["P"]] * 4).value
-        diff = abs(total - direct)
-        measured = {
-            "value": diff,
-            "direct": direct,
-            "expansion": total,
-            "lead_term_exact": lead_term == 0.0625,
-            "modulated_term": 2.0**-12 * state["EG"],
-        }
-        return measured, 1e-10, diff <= 1e-10 and lead_term == 0.0625, False
-
-    runner.run(
-        "product_expansion_16_terms", "bracket-expansion-matches-direct-mean", expansion
-    )
-
-    def sampling():
-        threshold = _log_scale(n)
-        allowed = trials // 20
-        sub = rng.child(2)
-        densities = []
-        deviations = []
-        p_sig = state["P"]
-        mean_p = signal_stats(p_sig).mean
-        # A draw's deviation is max_coefficient(A - P), and A - P is real, so
-        # draws i and i + 1 share one complex FFT as the real and imaginary
-        # parts of z; an odd last draw has a zero imaginary part.
-        for i in range(0, trials, 2):
-            z = np.zeros(n, dtype=np.complex128)
-            pair = range(i, min(i + 2, trials))
-            for j, part in zip(pair, (z.real, z.imag)):
-                sample = cons.sample_indicator(p_sig, sub.child(j))
-                densities.append(signal_stats(sample).mean)
-                np.subtract(sample.values, p_sig.values, out=part)
-            deviations.extend(max_coefficients_of_parts(z)[: len(pair)])
-        exceed = sum(1 for d in deviations if d > threshold)
-        density_ok = all(abs(d - mean_p) <= 4.0 / math.sqrt(n) for d in densities)
-        value = sorted(deviations)[-(allowed + 1)]
-        measured = {
-            "value": value,
-            "densities": densities,
-            "max_deviations": deviations,
-            "exceed_count": exceed,
-            "allowed_exceed": allowed,
-            "density_ok": density_ok,
-        }
-        return measured, threshold, value <= threshold and density_ok, False
-
-    runner.run(
-        "sampling_concentration", "sampled-spectrum-within-n^-1/2-ln-n", sampling
-    )
-
+    runner.run_all(_VERIFY_STAGES, _verify_results(m, seed, trials))
     return VerificationReport(SCHEMA_VERSION, "verify", n, seed, runner.checks)
+
+
+def _verify_results(m, seed: int, trials: int):
+    """Yield the result of each row of ``_VERIFY_STAGES`` in turn; each stage
+    is the code before its yield."""
+    n = m.n
+    rng = RngStream(seed)
+
+    design = cons.reference_design()
+    check = cons.validate_design(design)
+    yield {"violations": len(check.violations)}, None, check.ok, False
+
+    lines = cons.enumerate_lines()
+    counts = {
+        kind: sum(1 for l in lines if l.kind == kind)
+        for kind in (cons.AXIS, cons.PLANE_DIAGONAL, cons.MAIN_DIAGONAL)
+    }
+    measured = {"total": len(lines), **counts}
+    ok = (
+        len(lines) == 76
+        and counts[cons.AXIS] == 48
+        and counts[cons.PLANE_DIAGONAL] == 24
+        and counts[cons.MAIN_DIAGONAL] == 4
+    )
+    yield measured, None, ok, False
+
+    check = cons.freiman_check()
+    yield {"ok": check.ok}, None, check.ok, False
+
+    signs = cons.sign_grid(design)
+    lift_total = ap4_sum_z(cons.lift_signal(signs))
+    grid_total = cons.grid_ap4_sum(signs)
+    measured = {"lift_sum": lift_total, "grid_sum": grid_total}
+    yield measured, None, lift_total == -72 and grid_total == -72, False
+
+    f = cons.build_interval_signal(m)
+    t = cons.interval_block_length(m)
+    p = cons.interval_progression_count(t)
+    mean = apk_mean_zn([f, f, f, f])
+    del f
+    ef = mean.value
+    measured = {"t": t, "p": p, "numerator": mean.exact_numerator}
+    yield measured, None, mean.exact_numerator == -72 * p, False
+
+    yield {"value": ef}, -1e-5, ef <= -1e-5, False
+
+    # Every coefficient of w^(a x^2 + b x) has modulus |G(a)| / n, with
+    # G(a) the Gauss sum of w^(a y^2).  b only changes their phases, so
+    # its word is drawn, to keep the stream's positions, and not read.
+    sub = rng.child(0)
+    target = 1.0 / math.sqrt(n)
+    worst = 0.0
+    for _ in range(FLATNESS_TRIALS):
+        wa, _wb = sub.words(2).tolist()
+        gauss = complex(quadratic_phase_signal(m, 1 + wa % (n - 1)).values.sum())
+        worst = max(worst, abs(abs(gauss) / n - target))
+    yield {"value": worst, "trials": FLATNESS_TRIALS}, 1e-9, worst <= 1e-9, False
+
+    sub = rng.child(1)
+    bound = 2.0 * _log_scale(n)
+    worst = 0.0
+    for _ in range(MODULATED_TRIALS):
+        ws, wl, wa, wb, wc = sub.words(5).tolist()
+        interval = IntervalZn(ws % n, 1 + wl % (n - 1))
+        a, b, c = 1 + wa % (n - 1), wb % n, wc % n
+        worst = max(worst, modulated_interval_uniformity_check(m, interval, (a, b, c)))
+    yield {"value": worst, "trials": MODULATED_TRIALS}, bound, worst <= bound, False
+
+    g = cons.build_modulated_signal(m)
+    sp_g = dft(g)
+    bound = 512.0 * _log_scale(n)
+    top = max_coefficient(sp_g)
+    measured = {
+        "value": top,
+        "uniformity": uniformity(sp_g),
+        "mean": signal_stats(g).mean,
+    }
+    # |G| <= 4 already caps every coefficient at 4, so the bound is
+    # informative only once 512 n^-1/2 ln n < 4.
+    yield measured, bound, top <= bound, bound >= 4.0
+
+    cls = cons.classify_patterns()
+    null_sigs = sorted((pc.p, pc.q, pc.r, pc.s) for pc in cls.null)
+    ok = (
+        null_sigs == [(-1, 3, -3, 1), (1, -3, 3, -1)]
+        and all(pc.v == 0 for pc in cls.null)
+        and len(cls.all_patterns) == 256
+    )
+    measured = {"null_count": len(cls.null), "null_v": [pc.v for pc in cls.null]}
+    yield measured, None, ok, False
+
+    eg = apk_mean_zn([g] * 4).value
+    diff = abs(eg - 2.0 * ef)
+    bound = 2.0**18 * _log_scale(n)
+    measured = {"value": diff, "modulated_mean": eg, "interval_mean": ef}
+    # The trivial cap is |EG| + 2|EF| <= 4^4 + 2.
+    yield measured, bound, diff <= bound, bound >= 258.0
+
+    p_sig = cons.build_probability_signal(m)
+    sp_p = dft(p_sig)
+    bound64 = 64.0 * _log_scale(n)
+    stats = signal_stats(p_sig)
+    spectrum_err = float(np.abs(sp_p.coeffs[1:] - sp_g.coeffs[1:] / 8.0).max())
+    mean_offset = abs(stats.mean - 0.5)
+    unif = uniformity(sp_p)
+    del sp_g, sp_p
+    measured = {
+        "min": stats.minimum,
+        "max": stats.maximum,
+        "max_spectrum_error": spectrum_err,
+        "mean_offset": mean_offset,
+        "uniformity": unif,
+        "bound_64": bound64,
+    }
+    ok = (
+        stats.minimum >= 0.0
+        and stats.maximum <= 1.0
+        and spectrum_err <= 1e-12
+        and mean_offset <= bound64
+        and unif <= bound64
+    )
+    yield measured, None, ok, bound64 >= 0.5
+
+    ones = constant_signal(m, 1)
+    # Each distinct term is computed once.  The closed forms for one or
+    # two G's do not read their positions, and the j = 3 convolution
+    # reads only the gaps between three, through a commuting product, so
+    # gaps and reversed gaps give the same floats.
+    means = {}
+    total = 0.0
+    for size in range(4):
+        for positions in itertools.combinations(range(4), size):
+            gaps = tuple(b - a for a, b in zip(positions, positions[1:]))
+            key = min(gaps, gaps[::-1]) if size == 3 else size
+            if key not in means:
+                sigs = [g if i in positions else ones for i in range(4)]
+                means[key] = apk_mean_zn(sigs).value
+            total += 4.0 ** (4 - size) * means[key]
+    total += eg
+    total *= 2.0**-12
+    lead_term = 2.0**-12 * 4.0**4 * means[0]
+    direct = apk_mean_zn([p_sig] * 4).value
+    diff = abs(total - direct)
+    measured = {
+        "value": diff,
+        "direct": direct,
+        "expansion": total,
+        "lead_term_exact": lead_term == 0.0625,
+        "modulated_term": 2.0**-12 * eg,
+    }
+    yield measured, 1e-10, diff <= 1e-10 and lead_term == 0.0625, False
+
+    threshold = _log_scale(n)
+    allowed = trials // 20
+    sub = rng.child(2)
+    densities = []
+    deviations = []
+    # A draw's deviation is max_coefficient(A - P), and A - P is real, so
+    # draws i and i + 1 share one complex FFT as the real and imaginary
+    # parts of z; an odd last draw has a zero imaginary part.
+    for i in range(0, trials, 2):
+        z = np.zeros(n, dtype=np.complex128)
+        pair = range(i, min(i + 2, trials))
+        for j, part in zip(pair, (z.real, z.imag)):
+            sample = cons.sample_indicator(p_sig, sub.child(j))
+            densities.append(signal_stats(sample).mean)
+            np.subtract(sample.values, p_sig.values, out=part)
+        deviations.extend(max_coefficients_of_parts(z)[: len(pair)])
+    exceed = sum(1 for d in deviations if d > threshold)
+    density_ok = all(abs(d - stats.mean) <= 4.0 / math.sqrt(n) for d in densities)
+    value = sorted(deviations)[-(allowed + 1)]
+    measured = {
+        "value": value,
+        "densities": densities,
+        "max_deviations": deviations,
+        "exceed_count": exceed,
+        "allowed_exceed": allowed,
+        "density_ok": density_ok,
+    }
+    yield measured, threshold, value <= threshold and density_ok, False
 
 
 def _scaling_row(m):
@@ -624,24 +593,32 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     runner = _Runner()
     for m, outcome in zip(moduli, outcomes):
         runner.record(f"scaling_measurements@{m.n}", "normalized-series-recorded", outcome)
-
-    # A ratio stage runs only when every measurement passed, so checks[i] holds moduli[i]'s row.
-    for i, (ma, mb) in enumerate(zip(moduli, moduli[1:])):
-        def ratios(i=i):
-            a, b = (c.measured for c in runner.checks[i : i + 2])
-            ur = b["normalized_uniformity"] / a["normalized_uniformity"]
-            dr = b["normalized_difference"] / a["normalized_difference"]
-            ok = 0.1 <= ur <= 10.0 and 0.1 <= dr <= 10.0
-            measured = {"uniformity_ratio": ur, "difference_ratio": dr}
-            return measured, None, ok, False
-
-        runner.run(
-            f"scaling_ratio@{ma.n}->{mb.n}",
-            "consecutive-normalized-ratios-in-[0.1,10]",
-            ratios,
-        )
-
+    ratio_stages = [
+        (f"scaling_ratio@{ma.n}->{mb.n}", "consecutive-normalized-ratios-in-[0.1,10]")
+        for ma, mb in zip(moduli, moduli[1:])
+    ]
+    # The ratios run only when every measurement passed, so the rows are all measured.
+    runner.run_all(ratio_stages, _ratio_results([c.measured for c in runner.checks]))
     return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0], 0, runner.checks)
+
+
+def _ratio_results(rows):
+    """Yield the ratio check of each consecutive pair of ``_scaling_row`` rows."""
+    for a, b in zip(rows, rows[1:]):
+        ur = b["normalized_uniformity"] / a["normalized_uniformity"]
+        dr = b["normalized_difference"] / a["normalized_difference"]
+        ok = 0.1 <= ur <= 10.0 and 0.1 <= dr <= 10.0
+        measured = {"uniformity_ratio": ur, "difference_ratio": dr}
+        yield measured, None, ok, False
+
+
+# The stages of ``demo-quad`` as (name, claim_ref), in the order ``_demo_results`` runs them.
+_DEMO_STAGES = (
+    ("level_set_density", "density-close-to-2c"),
+    ("level_set_uniformity", "uniformity-below-half-density"),
+    ("threeap_vs_cube", "threeap-mean-within-20pct-of-density^3"),
+    ("fourap_excess", "fourap-mean-exceeds-density^4-at-small-density"),
+)
 
 
 def run_demo_quadratic(n: int, c: float) -> VerificationReport:
@@ -650,57 +627,46 @@ def run_demo_quadratic(n: int, c: float) -> VerificationReport:
 
     At small density the 4-AP count runs well above density^4 (the excess is
     what makes plain spectral flatness insufficient for 4-term counts); near
-    density 1/2 all counts sit close to the random values.
+    density 1/2 all counts sit close to the random values.  The stages are
+    the rows of ``_DEMO_STAGES``.
     """
     m = make_modulus(n)
     if not 0.0 < c < 0.25:
         # checked before the stages so that a bad c is an input error, not a failed check
         raise ValueError("c must lie in (0, 1/4)")
     runner = _Runner()
-    state: dict = {}
-
-    def density_check():
-        a = cons.quadratic_level_set(m, c)
-        state["A"] = a
-        density = signal_stats(a).mean
-        state["density"] = density
-        dev = abs(density - 2.0 * c)
-        bound = 2.0 / math.sqrt(n)
-        return {"value": dev, "density": density, "target": 2.0 * c}, bound, dev <= bound, False
-
-    runner.run("level_set_density", "density-close-to-2c", density_check)
-
-    def uniformity_check():
-        unif = uniformity(dft(state["A"]))
-        bound = state["density"] / 2.0
-        return {"value": unif, "density": state["density"]}, bound, unif <= bound, False
-
-    runner.run("level_set_uniformity", "uniformity-below-half-density", uniformity_check)
-
-    def threeap_check():
-        a = state["A"]
-        threeap = apk_mean_zn([a, a, a]).value
-        alpha3 = state["density"] ** 3
-        rel = abs(threeap - alpha3) / alpha3
-        measured = {"value": rel, "threeap_mean": threeap, "density_cubed": alpha3}
-        return measured, 0.2, rel <= 0.2, False
-
-    runner.run("threeap_vs_cube", "threeap-mean-within-20pct-of-density^3", threeap_check)
-
-    def fourap_check():
-        a = state["A"]
-        fourap = apk_mean_zn([a, a, a, a]).value
-        alpha4 = state["density"] ** 4
-        ratio = fourap / alpha4
-        if c <= 0.1:
-            ok = ratio >= 1.1
-        elif c >= 0.2:
-            ok = abs(ratio - 1.0) <= 0.1
-        else:
-            ok = ratio >= 0.9
-        measured = {"value": ratio, "fourap_mean": fourap, "density_fourth": alpha4}
-        return measured, None, ok, False
-
-    runner.run("fourap_excess", "fourap-mean-exceeds-density^4-at-small-density", fourap_check)
-
+    runner.run_all(_DEMO_STAGES, _demo_results(m, c))
     return VerificationReport(SCHEMA_VERSION, "demo-quad", n, 0, runner.checks)
+
+
+def _demo_results(m, c: float):
+    """Yield the result of each row of ``_DEMO_STAGES`` in turn; each stage
+    is the code before its yield."""
+    n = m.n
+    a = cons.quadratic_level_set(m, c)
+    density = signal_stats(a).mean
+    dev = abs(density - 2.0 * c)
+    bound = 2.0 / math.sqrt(n)
+    yield {"value": dev, "density": density, "target": 2.0 * c}, bound, dev <= bound, False
+
+    unif = uniformity(dft(a))
+    bound = density / 2.0
+    yield {"value": unif, "density": density}, bound, unif <= bound, False
+
+    threeap = apk_mean_zn([a, a, a]).value
+    alpha3 = density**3
+    rel = abs(threeap - alpha3) / alpha3
+    measured = {"value": rel, "threeap_mean": threeap, "density_cubed": alpha3}
+    yield measured, 0.2, rel <= 0.2, False
+
+    fourap = apk_mean_zn([a, a, a, a]).value
+    alpha4 = density**4
+    ratio = fourap / alpha4
+    if c <= 0.1:
+        ok = ratio >= 1.1
+    elif c >= 0.2:
+        ok = abs(ratio - 1.0) <= 0.1
+    else:
+        ok = ratio >= 0.9
+    measured = {"value": ratio, "fourap_mean": fourap, "density_fourth": alpha4}
+    yield measured, None, ok, False

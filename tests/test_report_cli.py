@@ -587,6 +587,84 @@ class TestStageCrash:
         assert "error" in capsys.readouterr().err
 
 
+class TestVerifyStageCrash:
+    """A verify stage raising mid-pipeline: the stages before it are recorded
+    as in a passing run, it fails, and the two after it are skipped."""
+
+    @pytest.fixture
+    def crashing_probability(self, monkeypatch):
+        build = k.constructions.build_probability_signal
+
+        def crash_at_6007(m):
+            if m.n == 6007:
+                raise RuntimeError("no probability signal")
+            return build(m)
+
+        monkeypatch.setattr(k.constructions, "build_probability_signal", crash_at_6007)
+
+    def _assert_failed_at_probability(self, report, verify_6007):
+        assert [c.name for c in report.checks] == EXPECTED_VERIFY_CHECKS
+        before, failed, rest = report.checks[:11], report.checks[11], report.checks[12:]
+        assert _strip_runtime([c.to_dict() for c in before]) == _strip_runtime(
+            [c.to_dict() for c in verify_6007.checks[:11]]
+        )
+        assert failed.name == "probability_signal"
+        assert failed.passed is False and not failed.skipped
+        assert failed.measured == {"error": "RuntimeError: no probability signal"}
+        assert [c.name for c in rest] == ["product_expansion_16_terms", "sampling_concentration"]
+        assert all(c.skipped and c.passed is None for c in rest)
+        assert not report.passed()
+
+    def test_report_records_error(self, crashing_probability, verify_6007):
+        report = k.run_verify(6007, seed=1, trials=3)
+        self._assert_failed_at_probability(report, verify_6007)
+
+    def test_cli_writes_report_and_exits_1(
+        self, crashing_probability, verify_6007, tmp_path, capsys
+    ):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--n", "6007", "--seed", "1", "--trials", "3", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "result: FAIL" in captured.out
+        assert "Traceback" not in captured.err
+        self._assert_failed_at_probability(k.load_report(out), verify_6007)
+
+
+class TestStageTables:
+    """Each pipeline generator yields one result per row of its stage table,
+    so no yield is left unrecorded and no row is left without a result."""
+
+    def test_verify_yields_one_result_per_row(self):
+        results = list(report._verify_results(k.make_modulus(6007), 0, 1))
+        assert len(results) == len(report._VERIFY_STAGES)
+        assert all(len(result) == 4 for result in results)
+
+    def test_demo_yields_one_result_per_row(self):
+        results = list(report._demo_results(k.make_modulus(101), 0.05))
+        assert len(results) == len(report._DEMO_STAGES)
+        assert all(len(result) == 4 for result in results)
+
+    def test_ratios_yield_one_result_per_consecutive_pair(self):
+        rows = [
+            {"normalized_uniformity": u, "normalized_difference": d}
+            for u, d in ((1.0, 2.0), (2.0, 2.0), (4.0, 1.0))
+        ]
+        results = list(report._ratio_results(rows))
+        assert [r[0] for r in results] == [
+            {"uniformity_ratio": 2.0, "difference_ratio": 1.0},
+            {"uniformity_ratio": 2.0, "difference_ratio": 0.5},
+        ]
+        assert all(r[2] for r in results)
+
+    def test_passing_reports_follow_their_tables(self, verify_6007):
+        demo = k.run_demo_quadratic(10007, 0.05)
+        for got, table in ((verify_6007, report._VERIFY_STAGES), (demo, report._DEMO_STAGES)):
+            assert got.passed()
+            assert [(c.name, c.claim_ref) for c in got.checks] == list(table)
+        assert [name for name, _ in report._VERIFY_STAGES] == EXPECTED_VERIFY_CHECKS
+
+
 class TestCli:
     def test_import_freezes_long_lived_objects(self):
         # a fresh interpreter: the objects made by importing numpy and the package
