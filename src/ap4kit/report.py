@@ -157,76 +157,55 @@ def _measure(fn, *args) -> _Outcome:
     """Call fn(*args) as a stage; an exception becomes the outcome's error.
 
     Every MemoryError, numpy's subclass included, is named "MemoryError", the
-    name ``_Runner.record`` re-raises.
+    name ``_records`` re-raises.
     """
     t0 = time.perf_counter()
     try:
-        result = fn(*args)
-    except MemoryError as exc:
-        error = ("MemoryError", str(exc))
+        return _Outcome(fn(*args), None, 1000.0 * (time.perf_counter() - t0))
     except Exception as exc:  # a failed stage is recorded; the report is kept
-        error = (type(exc).__name__, str(exc))
-    else:
-        return _Outcome(result, None, 1000.0 * (time.perf_counter() - t0))
-    return _Outcome(None, error, 1000.0 * (time.perf_counter() - t0))
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        return _Outcome(None, (kind, str(exc)), 1000.0 * (time.perf_counter() - t0))
 
 
-class _Runner:
-    """Records pipeline stages in order; a stage that raised fails and skips the rest.
+def _stage_outcomes(results):
+    """The outcome of each next result of the pipeline generator results, lazily."""
+    return map(_measure, itertools.repeat(functools.partial(next, results)))
+
+
+def _records(stages, outcomes) -> list[CheckRecord]:
+    """One check per (name, claim_ref) row of stages, each from the next of outcomes.
 
     A pipeline is a generator that yields one (measured, bound, passed,
-    vacuous) result per stage, so a stage is the code before its yield; a
-    table of (name, claim_ref) rows names its stages in order, and
-    ``run_all`` runs each row through ``run``.  MemoryError is the one
-    exception that propagates: a host without the memory for a stage is an
-    input error for the caller, not a failed check.
+    vacuous) result per stage, so a stage is the code before its yield, and
+    ``_stage_outcomes`` measures each as it is read; worker processes hand
+    over outcomes already measured.  After a stage that raised, no further
+    outcome is read, so no generator is resumed, and every later row is
+    skipped.  MemoryError is the one exception that propagates: a host
+    without the memory for a stage is an input error for the caller, not a
+    failed check.
     """
-
-    def __init__(self) -> None:
-        self.checks: list[CheckRecord] = []
-        self.aborted = False
-
-    def run(self, name: str, claim_ref: str, fn) -> None:
-        """Run fn as the next stage, unless an earlier stage failed."""
-        self.record(name, claim_ref, None if self.aborted else _measure(fn))
-
-    def run_all(self, stages, results) -> None:
-        """Run each (name, claim_ref) row of stages as the next result of the
-        generator results; after a failed stage it is not resumed."""
-        step = functools.partial(next, results)
-        for name, claim_ref in stages:
-            self.run(name, claim_ref, step)
-
-    def record(self, name: str, claim_ref: str, outcome: _Outcome | None) -> None:
-        """Record the next stage from its outcome, computed here or elsewhere.
-
-        After a failed stage the outcome is not read, and the stage is skipped.
-        """
-        if self.aborted:
-            self.checks.append(CheckRecord(name, claim_ref, None, None, None, 0.0, skipped=True))
-            return
+    rows = iter(stages)
+    checks = []
+    for (name, claim_ref), outcome in zip(rows, outcomes):
         if outcome.error is not None:
             kind, message = outcome.error
             if kind == "MemoryError":
                 raise MemoryError(message)
             measured = {"error": f"{kind}: {message}"}
-            self.checks.append(
-                CheckRecord(name, claim_ref, measured, None, False, outcome.runtime_ms)
-            )
-            self.aborted = True
-            return
+            checks.append(CheckRecord(name, claim_ref, measured, None, False, outcome.runtime_ms))
+            break
         measured, bound, passed, vacuous = outcome.result
-        self.checks.append(
-            CheckRecord(
-                name, claim_ref, measured, bound, passed, outcome.runtime_ms,
-                vacuous_at_this_n=vacuous,
-            )
+        checks.append(
+            CheckRecord(name, claim_ref, measured, bound, passed, outcome.runtime_ms, vacuous)
         )
+    checks.extend(CheckRecord(name, ref, None, None, None, 0.0, skipped=True) for name, ref in rows)
+    return checks
 
 
 def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outcome]:
-    """The outcome of fn(item) for every item of a non-empty list, in item
-    order, computed in up to one process per CPU this process may run on.
+    """The ``_measure`` outcome of fn(item), as ``_records`` reads it, for
+    every item of a non-empty list, in item order, computed in up to one
+    process per CPU this process may run on.
 
     The items are split into shares, largest size first, each to the share
     with the least total size so far (the first such share on a tie).  This
@@ -354,9 +333,8 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     if trials < 1:
         # checked before the stages, so that --trials 0 is an input error and not a pass
         raise ValueError(f"trials must be at least 1, got {trials}")
-    runner = _Runner()
-    runner.run_all(_VERIFY_STAGES, _verify_results(m, seed, trials))
-    return VerificationReport(SCHEMA_VERSION, "verify", n, seed, runner.checks)
+    checks = _records(_VERIFY_STAGES, _stage_outcomes(_verify_results(m, seed, trials)))
+    return VerificationReport(SCHEMA_VERSION, "verify", n, seed, checks)
 
 
 def _verify_results(m, seed: int, trials: int):
@@ -578,11 +556,11 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     The moduli are measured independently, so on Linux with more than one
     CPU they are split across forked worker processes
     (``_outcomes_across_processes``); elsewhere they are measured here, one
-    after another.  Either way every modulus is measured, and the outcomes
-    are recorded in the order of n_list, so a failed or out-of-memory
-    measurement is reported as if the moduli had run in that order: the
-    report is the same apart from runtime_ms, which each process measures
-    for its own moduli.
+    after another.  Either way every modulus is measured, and ``_records``
+    reads one stage list, the measurements in the order of n_list and then
+    the ratios, so a failed or out-of-memory measurement is reported as if
+    the moduli had run in that order: the report is the same apart from
+    runtime_ms, which each process measures for its own moduli.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
@@ -590,21 +568,21 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     for m in moduli:
         cons.interval_block_length(m)
     outcomes = _outcomes_across_processes(_scaling_row, moduli, [m.n for m in moduli])
-    runner = _Runner()
-    for m, outcome in zip(moduli, outcomes):
-        runner.record(f"scaling_measurements@{m.n}", "normalized-series-recorded", outcome)
-    ratio_stages = [
+    stages = [(f"scaling_measurements@{m.n}", "normalized-series-recorded") for m in moduli]
+    stages += [
         (f"scaling_ratio@{ma.n}->{mb.n}", "consecutive-normalized-ratios-in-[0.1,10]")
-        for ma, mb in zip(moduli, moduli[1:])
+        for ma, mb in itertools.pairwise(moduli)
     ]
-    # The ratios run only when every measurement passed, so the rows are all measured.
-    runner.run_all(ratio_stages, _ratio_results([c.measured for c in runner.checks]))
-    return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0], 0, runner.checks)
+    # The ratios are first resumed only once every measurement passed, so
+    # the rows they read are all measured.
+    ratios = _ratio_results(o.result[0] for o in outcomes)
+    checks = _records(stages, itertools.chain(outcomes, _stage_outcomes(ratios)))
+    return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0], 0, checks)
 
 
 def _ratio_results(rows):
     """Yield the ratio check of each consecutive pair of ``_scaling_row`` rows."""
-    for a, b in zip(rows, rows[1:]):
+    for a, b in itertools.pairwise(rows):
         ur = b["normalized_uniformity"] / a["normalized_uniformity"]
         dr = b["normalized_difference"] / a["normalized_difference"]
         ok = 0.1 <= ur <= 10.0 and 0.1 <= dr <= 10.0
@@ -634,9 +612,8 @@ def run_demo_quadratic(n: int, c: float) -> VerificationReport:
     if not 0.0 < c < 0.25:
         # checked before the stages so that a bad c is an input error, not a failed check
         raise ValueError("c must lie in (0, 1/4)")
-    runner = _Runner()
-    runner.run_all(_DEMO_STAGES, _demo_results(m, c))
-    return VerificationReport(SCHEMA_VERSION, "demo-quad", n, 0, runner.checks)
+    checks = _records(_DEMO_STAGES, _stage_outcomes(_demo_results(m, c)))
+    return VerificationReport(SCHEMA_VERSION, "demo-quad", n, 0, checks)
 
 
 def _demo_results(m, c: float):

@@ -103,21 +103,23 @@ class TestRunVerify:
 class TestProductExpansion:
     def test_each_distinct_term_once(self, monkeypatch):
         # the sizes 0, 1 and 2, the two gap patterns of size 3, and P itself:
-        # 6 calls, where one call per term, the lead term and P made 17
-        stage, calls = [None], []
-        run, mean = report._Runner.run, report.apk_mean_zn
+        # 6 calls, where one call per term, the lead term and P made 17.
+        # Each stage of verify is one _measure call, in _VERIFY_STAGES order.
+        stages, calls = [], []
+        measure, mean = report._measure, report.apk_mean_zn
 
-        def run_spy(self, name, claim_ref, fn):
-            stage[0] = name
-            run(self, name, claim_ref, fn)
+        def measure_spy(fn, *args):
+            stages.append(report._VERIFY_STAGES[len(stages)][0])
+            return measure(fn, *args)
 
         def mean_spy(signals):
-            calls.append(stage[0])
+            calls.append(stages[-1])
             return mean(signals)
 
-        monkeypatch.setattr(report._Runner, "run", run_spy)
+        monkeypatch.setattr(report, "_measure", measure_spy)
         monkeypatch.setattr(report, "apk_mean_zn", mean_spy)
         assert k.run_verify(6007, seed=1, trials=1).passed()
+        assert stages == EXPECTED_VERIFY_CHECKS
         assert calls.count("product_expansion_16_terms") == 6
 
     def test_matches_one_call_per_term(self, verify_6007):
@@ -361,6 +363,14 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _allocate_too_much(m):
+    """A real numpy allocation failure: 4 EiB, refused at once, nothing allocated."""
+    np.empty(1 << 62, dtype=np.uint8)
+
+
+_TOO_MUCH = "error: out of memory: Unable to allocate 4.00 EiB for an array with shape"
+
+
 def _crash_at(monkeypatch, exc_at):
     """Make build_modulated_signal raise exc_at[n] at each modulus n it names."""
     build = k.constructions.build_modulated_signal
@@ -457,6 +467,21 @@ class TestScalingWorkers:
         captured = capsys.readouterr()
         assert "result:" not in captured.out
         assert captured.err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+    def test_worker_numpy_allocation_failure_exits_2(self, monkeypatch, capsys, forks):
+        # 20011 is measured in the worker
+        _cpus(monkeypatch, 2)
+        build = k.constructions.build_modulated_signal
+        monkeypatch.setattr(
+            k.constructions,
+            "build_modulated_signal",
+            lambda m: _allocate_too_much(m) if m.n == 20011 else build(m),
+        )
+        assert main(["scaling", "--n-list", "10007,20011,40009"]) == 2
+        assert len(forks) == 1
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err.startswith(_TOO_MUCH)
 
     def test_memory_error_after_a_failure_is_skipped(self, monkeypatch, capsys, forks):
         # in order, 10007 fails first, so 40009 is never measured: exit 1, as in one process
@@ -659,10 +684,71 @@ class TestStageTables:
 
     def test_passing_reports_follow_their_tables(self, verify_6007):
         demo = k.run_demo_quadratic(10007, 0.05)
-        for got, table in ((verify_6007, report._VERIFY_STAGES), (demo, report._DEMO_STAGES)):
+        scaling = k.run_scaling([10007, 20011])
+        scaling_stages = [
+            ("scaling_measurements@10007", "normalized-series-recorded"),
+            ("scaling_measurements@20011", "normalized-series-recorded"),
+            ("scaling_ratio@10007->20011", "consecutive-normalized-ratios-in-[0.1,10]"),
+        ]
+        for got, table in (
+            (verify_6007, report._VERIFY_STAGES),
+            (demo, report._DEMO_STAGES),
+            (scaling, scaling_stages),
+        ):
             assert got.passed()
             assert [(c.name, c.claim_ref) for c in got.checks] == list(table)
         assert [name for name, _ in report._VERIFY_STAGES] == EXPECTED_VERIFY_CHECKS
+
+
+def _passing(runtime_ms=1.0, vacuous=False):
+    return report._Outcome(({"value": 1}, 2.0, True, vacuous), None, runtime_ms)
+
+
+def _failing(kind="RuntimeError", message="boom"):
+    return report._Outcome(None, (kind, message), 3.0)
+
+
+_ROWS = [(f"stage_{i}", f"claim_{i}") for i in range(4)]
+
+
+class TestRecords:
+    """_records against hand-made outcomes."""
+
+    def test_failure_reads_no_further_outcome(self):
+        def outcomes():
+            yield _passing()
+            yield _failing()
+            raise AssertionError("an outcome was read after the failed stage")
+
+        checks = report._records(_ROWS, outcomes())
+        assert [c.name for c in checks] == [name for name, _ in _ROWS]
+        assert checks[1] == report.CheckRecord(
+            "stage_1", "claim_1", {"error": "RuntimeError: boom"}, None, False, 3.0
+        )
+        assert all(c.skipped and c.passed is None and c.runtime_ms == 0.0 for c in checks[2:])
+
+    def test_memory_error_raises_its_message(self):
+        outcomes = iter([_passing(), _failing("MemoryError", "Unable to allocate 4.00 EiB")])
+        with pytest.raises(MemoryError, match=r"^Unable to allocate 4\.00 EiB$"):
+            report._records(_ROWS, outcomes)
+
+    def test_memory_error_after_a_failure_is_skipped(self):
+        outcomes = iter([_failing(), _failing("MemoryError", "x")])
+        checks = report._records(_ROWS, outcomes)
+        assert checks[0].measured == {"error": "RuntimeError: boom"}
+        assert all(c.skipped for c in checks[1:])
+
+    def test_passing_outcome_keeps_runtime_and_vacuous_flag(self):
+        def outcomes():
+            yield _passing(2.5, True)
+            yield _passing(0.25, False)
+            raise AssertionError("an outcome was read past the last row")
+
+        checks = report._records(_ROWS[:2], outcomes())
+        assert [(c.runtime_ms, c.vacuous_at_this_n) for c in checks] == [(2.5, True), (0.25, False)]
+        assert checks[0] == report.CheckRecord(
+            "stage_0", "claim_0", {"value": 1}, 2.0, True, 2.5, vacuous_at_this_n=True
+        )
 
 
 class TestCli:
@@ -939,6 +1025,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "result:" not in captured.out
         assert captured.err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+    def test_stage_numpy_allocation_failure_exits_2(self, monkeypatch, capsys):
+        # numpy's own MemoryError subclass, raised by a real allocation in a stage
+        monkeypatch.setattr(k.constructions, "build_modulated_signal", _allocate_too_much)
+        assert main(["verify", "--n", "6007"]) == 2
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err.startswith(_TOO_MUCH)
 
 
 # --- the exit-code contract over generated command lines ----------------------
