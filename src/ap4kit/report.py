@@ -202,19 +202,37 @@ def _records(stages, outcomes) -> list[CheckRecord]:
     return checks
 
 
-def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outcome]:
-    """The ``_measure`` outcome of fn(item), as ``_records`` reads it, for
-    every item of a non-empty list, in item order, computed in up to one
-    process per CPU this process may run on.
+def _part_outcomes(rows: int, results) -> list[_Outcome]:
+    """The outcomes of the first ``rows`` stages of the pipeline generator
+    that results() makes, ending at its first failed stage."""
+    outcomes = []
+    for outcome in itertools.islice(_stage_outcomes(results()), rows):
+        outcomes.append(outcome)
+        if outcome.error is not None:
+            break
+    return outcomes
 
-    The items are split into shares, largest size first, each to the share
+
+def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
+    """The outcomes of every part of a non-empty list, concatenated in part
+    order, computed in up to one process per CPU this process may run on.
+
+    A part is a (rows, results) pair: ``rows`` consecutive rows of a stage
+    table, computed by the pipeline generator that results() makes.  Its
+    outcomes are those of ``_part_outcomes``, so they end at its first
+    failed stage.  The parts of one call are consecutive runs of one
+    table, so ``_records`` reads the result as it reads one pipeline run
+    in this process: it stops at the first failed stage, and the outcomes
+    of later parts are never read.
+
+    The parts are split into shares, largest size first, each to the share
     with the least total size so far (the first such share on a tie).  This
     process computes the first share and forks one worker per other share;
     a worker pickles its share's outcomes to a pipe and leaves through
     ``os._exit``, so it runs none of this process's clean-up.  A worker that exits without a
     complete result has its share recomputed here, and so has a share whose
-    pipe or fork failed.  Off Linux, or with one CPU or one item, nothing is forked
-    and every outcome is computed here in the same way.  Before this returns
+    pipe or fork failed.  Off Linux, or with one CPU or one part, nothing is forked
+    and every part is computed here in the same way.  Before this returns
     or raises, every worker has been killed, if it was still running, and
     reaped, and every pipe is closed.
 
@@ -222,23 +240,23 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
     ap4kit process is OpenBLAS's pool, which OpenBLAS stops before a fork
     and restarts when it is next needed.
     """
-    count = min(len(items), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    count = min(len(parts), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     shares: list[list[int]] = [[] for _ in range(count)]
     totals = [0] * count
-    for i in sorted(range(len(items)), key=lambda i: -sizes[i]):
+    for i in sorted(range(len(parts)), key=lambda i: -sizes[i]):
         j = totals.index(min(totals))
         shares[j].append(i)
         totals[j] += sizes[i]
     here = shares[0]
     workers = []  # (pid, read end of its pipe, its share), until it is reaped
-    outcomes: list[_Outcome | None] = [None] * len(items)
+    outcomes: list[list[_Outcome] | None] = [None] * len(parts)
     try:
         for share in shares[1:]:
             ends = ()
             try:
                 ends = os.pipe()
                 pid = os.fork()
-            except OSError:  # no pipe (EMFILE) or no fork (EAGAIN): the share is measured here
+            except OSError:  # no pipe (EMFILE) or no fork (EAGAIN): the share is computed here
                 for end in ends:
                     os.close(end)
                 here.extend(share)
@@ -248,14 +266,14 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
                 status = 1
                 try:
                     with open(write_end, "wb") as pipe:
-                        pickle.dump([_measure(fn, items[i]) for i in share], pipe)
+                        pickle.dump([_part_outcomes(*parts[i]) for i in share], pipe)
                     status = 0
                 finally:
                     os._exit(status)
             workers.append((pid, open(read_end, "rb"), share))
             os.close(write_end)
         for i in here:
-            outcomes[i] = _measure(fn, items[i])
+            outcomes[i] = _part_outcomes(*parts[i])
         while workers:
             pid, reader, share = workers[0]
             data = reader.read()
@@ -263,11 +281,11 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
             _, status = os.waitpid(pid, 0)
             workers.pop(0)
             if status == 0:
-                for i, outcome in zip(share, pickle.loads(data)):
-                    outcomes[i] = outcome
+                for i, part in zip(share, pickle.loads(data)):
+                    outcomes[i] = part
             else:
                 for i in share:
-                    outcomes[i] = _measure(fn, items[i])
+                    outcomes[i] = _part_outcomes(*parts[i])
     finally:
         if workers:  # this process raised while they ran
             import signal  # here, so that importing report loads nothing new
@@ -276,14 +294,15 @@ def _outcomes_across_processes(fn, items: list, sizes: list[int]) -> list[_Outco
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return outcomes
+    return list(itertools.chain.from_iterable(outcomes))
 
 
 def _log_scale(n: int) -> float:
     return math.log(n) / math.sqrt(n)
 
 
-# The stages of ``verify`` as (name, claim_ref), in the order ``_verify_results`` runs them.
+# The stages of ``verify`` as (name, claim_ref), in the order ``_verify_results``
+# runs them; ``_sampling_results`` runs the last.
 _VERIFY_STAGES = (
     ("grid_design_valid", "off-diagonal-lines-meet-design-once"),
     ("grid_line_census", "line-census-48-24-4"),
@@ -326,6 +345,16 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     P, that is 2 + ceil(trials / 2) prime-length FFTs per run.  A stage
     that raises is recorded as a failed check with its error, and the later
     stages are skipped; a MemoryError propagates.
+
+    No stage reads the sampling stage's result, and it reads nothing the
+    others made: it builds P itself and draws from a stream of the seed
+    alone.  So ``_outcomes_across_processes`` gets two parts, the chain
+    (every row but the last, ``_verify_results``) and the sampling stage
+    (``_sampling_results``).  On Linux with more than one CPU this process
+    runs the chain while a forked worker samples; otherwise it runs both,
+    in table order.  The report is the same either way apart from
+    runtime_ms, and the sampling stage's runtime_ms includes its own build
+    of G and P.
     """
     m = make_modulus(n)
     if n < 6000:
@@ -333,13 +362,18 @@ def run_verify(n: int, seed: int, trials: int = 20) -> VerificationReport:
     if trials < 1:
         # checked before the stages, so that --trials 0 is an input error and not a pass
         raise ValueError(f"trials must be at least 1, got {trials}")
-    checks = _records(_VERIFY_STAGES, _stage_outcomes(_verify_results(m, seed, trials)))
+    parts = [
+        (len(_VERIFY_STAGES) - 1, functools.partial(_verify_results, m, seed)),
+        (1, functools.partial(_sampling_results, m, seed, trials)),
+    ]
+    outcomes = _outcomes_across_processes(parts, [rows for rows, _ in parts])
+    checks = _records(_VERIFY_STAGES, outcomes)
     return VerificationReport(SCHEMA_VERSION, "verify", n, seed, checks)
 
 
-def _verify_results(m, seed: int, trials: int):
-    """Yield the result of each row of ``_VERIFY_STAGES`` in turn; each stage
-    is the code before its yield."""
+def _verify_results(m, seed: int):
+    """Yield the result of each row of ``_VERIFY_STAGES`` but the last in
+    turn; each stage is the code before its yield."""
     n = m.n
     rng = RngStream(seed)
 
@@ -487,9 +521,16 @@ def _verify_results(m, seed: int, trials: int):
     }
     yield measured, 1e-10, diff <= 1e-10 and lead_term == 0.0625, False
 
+
+def _sampling_results(m, seed: int, trials: int):
+    """Yield the result of the last row of ``_VERIFY_STAGES``: ``trials``
+    sets A drawn from P, each checked against the n^-1/2 ln n threshold."""
+    n = m.n
+    p_sig = cons.build_probability_signal(m)
+    mean = signal_stats(p_sig).mean
     threshold = _log_scale(n)
     allowed = trials // 20
-    sub = rng.child(2)
+    sub = RngStream(seed).child(2)
     densities = []
     deviations = []
     # A draw's deviation is max_coefficient(A - P), and A - P is real, so
@@ -504,7 +545,7 @@ def _verify_results(m, seed: int, trials: int):
             np.subtract(sample.values, p_sig.values, out=part)
         deviations.extend(max_coefficients_of_parts(z)[: len(pair)])
     exceed = sum(1 for d in deviations if d > threshold)
-    density_ok = all(abs(d - stats.mean) <= 4.0 / math.sqrt(n) for d in densities)
+    density_ok = all(abs(d - mean) <= 4.0 / math.sqrt(n) for d in densities)
     value = sorted(deviations)[-(allowed + 1)]
     measured = {
         "value": value,
@@ -517,8 +558,8 @@ def _verify_results(m, seed: int, trials: int):
     yield measured, threshold, value <= threshold and density_ok, False
 
 
-def _scaling_row(m):
-    """One modulus's measurements, as a ``run_scaling`` stage result."""
+def _scaling_results(m):
+    """Yield one modulus's measurements, as a ``run_scaling`` stage result."""
     n = m.n
     f = cons.build_interval_signal(m)
     g = cons.build_modulated_signal(m)
@@ -537,7 +578,7 @@ def _scaling_row(m):
         "normalized_difference": diff / scale,
         "normalized_mean_abs": mean_abs / scale,
     }
-    return row, None, True, False
+    yield row, None, True, False
 
 
 def run_scaling(n_list: list[int]) -> VerificationReport:
@@ -553,21 +594,22 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     interval-signal gate before any stage runs, so a modulus too small for it
     is an input error, not a failed measurement.
 
-    The moduli are measured independently, so on Linux with more than one
-    CPU they are split across forked worker processes
-    (``_outcomes_across_processes``); elsewhere they are measured here, one
-    after another.  Either way every modulus is measured, and ``_records``
-    reads one stage list, the measurements in the order of n_list and then
-    the ratios, so a failed or out-of-memory measurement is reported as if
-    the moduli had run in that order: the report is the same apart from
-    runtime_ms, which each process measures for its own moduli.
+    The moduli are measured independently, each a one-row part of
+    ``_outcomes_across_processes``, so on Linux with more than one CPU they
+    are split across forked worker processes; elsewhere they are measured
+    here, one after another.  Either way every modulus is measured, and
+    ``_records`` reads one stage list, the measurements in the order of
+    n_list and then the ratios, so a failed or out-of-memory measurement is
+    reported as if the moduli had run in that order: the report is the same
+    apart from runtime_ms, which each process measures for its own moduli.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
     moduli = [make_modulus(n) for n in n_list]
     for m in moduli:
         cons.interval_block_length(m)
-    outcomes = _outcomes_across_processes(_scaling_row, moduli, [m.n for m in moduli])
+    parts = [(1, functools.partial(_scaling_results, m)) for m in moduli]
+    outcomes = _outcomes_across_processes(parts, [m.n for m in moduli])
     stages = [(f"scaling_measurements@{m.n}", "normalized-series-recorded") for m in moduli]
     stages += [
         (f"scaling_ratio@{ma.n}->{mb.n}", "consecutive-normalized-ratios-in-[0.1,10]")
@@ -581,7 +623,7 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
 
 
 def _ratio_results(rows):
-    """Yield the ratio check of each consecutive pair of ``_scaling_row`` rows."""
+    """Yield the ratio check of each consecutive pair of ``_scaling_results`` rows."""
     for a, b in itertools.pairwise(rows):
         ur = b["normalized_uniformity"] / a["normalized_uniformity"]
         dr = b["normalized_difference"] / a["normalized_difference"]

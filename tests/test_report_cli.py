@@ -1,6 +1,7 @@
 """Pipeline reports, serialization, and the command-line interface."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -104,7 +105,9 @@ class TestProductExpansion:
     def test_each_distinct_term_once(self, monkeypatch):
         # the sizes 0, 1 and 2, the two gap patterns of size 3, and P itself:
         # 6 calls, where one call per term, the lead term and P made 17.
-        # Each stage of verify is one _measure call, in _VERIFY_STAGES order.
+        # Each stage of verify is one _measure call, in _VERIFY_STAGES order,
+        # when one process runs them all.
+        _cpus(monkeypatch, 1)
         stages, calls = [], []
         measure, mean = report._measure, report.apk_mean_zn
 
@@ -148,7 +151,10 @@ SAMPLING_TRIALS = (1, 2, 3, 20)
 
 @pytest.fixture(scope="module")
 def sampling_runs():
-    """run_verify(6007, seed 1) per trial count, with its np.fft.fft calls counted."""
+    """run_verify(6007, seed 1) per trial count, with its np.fft.fft calls counted.
+
+    It runs in one process, so the sampling stage's transforms are counted too.
+    """
     runs = {}
     fft = np.fft.fft
     for trials in SAMPLING_TRIALS:
@@ -159,6 +165,7 @@ def sampling_runs():
             return fft(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 1)
             mp.setattr(np.fft, "fft", spy)
             report = k.run_verify(6007, seed=1, trials=trials)
         runs[trials] = (report.check("sampling_concentration").measured, len(calls))
@@ -383,11 +390,21 @@ def _crash_at(monkeypatch, exc_at):
     monkeypatch.setattr(k.constructions, "build_modulated_signal", crashing)
 
 
-class TestScalingWorkers:
-    """run_scaling split across forked workers against the same run in one process.
+def _exit_in_worker_before_writing(monkeypatch):
+    """Make every worker leave through os._exit(3) before it writes its outcomes."""
+    parent, dump = os.getpid(), pickle.dump
 
-    With two CPUs the parent measures 40009 and one worker 10007 and 20011.
-    """
+    def exit_before_writing(obj, file):
+        if os.getpid() != parent:
+            os._exit(3)
+        dump(obj, file)
+
+    monkeypatch.setattr(pickle, "dump", exit_before_writing)
+
+
+class _Forking:
+    """Every test leaves no child process and no open file behind, and
+    ``forks`` counts the calls of os.fork."""
 
     @pytest.fixture(autouse=True)
     def _no_leftovers(self):
@@ -408,6 +425,13 @@ class TestScalingWorkers:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         return calls
+
+
+class TestScalingWorkers(_Forking):
+    """run_scaling split across forked workers against the same run in one process.
+
+    With two CPUs the parent measures 40009 and one worker 10007 and 20011.
+    """
 
     @staticmethod
     def _sequential(monkeypatch):
@@ -435,9 +459,12 @@ class TestScalingWorkers:
     def test_shares_balanced_largest_first(self, monkeypatch, forks, sizes, cpus, here):
         _cpus(monkeypatch, cpus)
         parent = os.getpid()
-        outcomes = report._outcomes_across_processes(
-            lambda item: (item, os.getpid() == parent), sizes, sizes
-        )
+
+        def results(size):
+            yield size, os.getpid() == parent
+
+        parts = [(1, functools.partial(results, size)) for size in sizes]
+        outcomes = report._outcomes_across_processes(parts, sizes)
         assert [o.result for o in outcomes] == list(zip(sizes, here))
         assert len(forks) == cpus - 1
 
@@ -495,14 +522,7 @@ class TestScalingWorkers:
 
     def test_worker_without_a_result_is_recomputed(self, monkeypatch, forks):
         sequential = self._sequential(monkeypatch)
-        parent, dump = os.getpid(), pickle.dump
-
-        def exit_before_writing(obj, file):
-            if os.getpid() != parent:
-                os._exit(3)
-            dump(obj, file)
-
-        monkeypatch.setattr(pickle, "dump", exit_before_writing)
+        _exit_in_worker_before_writing(monkeypatch)
         _cpus(monkeypatch, 2)
         assert _strip_runtime(k.run_scaling(_SERIES).to_dict()) == sequential
         assert len(forks) == 1
@@ -552,6 +572,143 @@ class TestScalingWorkers:
             k.run_scaling(_SERIES)
         assert time.monotonic() - start < 30
         assert len(forks) == 1
+
+
+class TestVerifyWorkers(_Forking):
+    """run_verify with its sampling stage in a forked worker against the same
+    run in one process.
+
+    With two CPUs the parent runs the chain, the rows before the last, and
+    one worker the sampling stage.
+    """
+
+    _ARGV = ["verify", "--n", "6007", "--seed", "1", "--trials", "3"]
+
+    @staticmethod
+    def _sequential(monkeypatch, seed=1, trials=3):
+        with monkeypatch.context() as mp:
+            _cpus(mp, 1)
+            return _strip_runtime(k.run_verify(6007, seed, trials).to_dict())
+
+    @pytest.fixture
+    def failing_freiman_check(self, monkeypatch):
+        def crash():
+            raise RuntimeError("no embedding")
+
+        monkeypatch.setattr(k.constructions, "freiman_check", crash)
+
+    @pytest.mark.parametrize("trials", [1, 3, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_report_as_one_process(self, monkeypatch, forks, seed, trials):
+        sequential = self._sequential(monkeypatch, seed, trials)
+        assert forks == []
+        _cpus(monkeypatch, 2)
+        assert _strip_runtime(k.run_verify(6007, seed, trials).to_dict()) == sequential
+        assert len(forks) == 1
+
+    def test_failed_chain_stage_recorded_as_in_one_process(
+        self, monkeypatch, forks, failing_freiman_check
+    ):
+        sequential = self._sequential(monkeypatch)
+        _cpus(monkeypatch, 2)
+        got = k.run_verify(6007, 1, 3)
+        assert len(forks) == 1
+        assert _strip_runtime(got.to_dict()) == sequential
+        failed = got.check("freiman_embedding")
+        assert failed.measured == {"error": "RuntimeError: no embedding"}
+        assert all(c.skipped for c in got.checks[3:])
+
+    def test_failed_worker_stage_recorded_as_in_one_process(self, monkeypatch, forks):
+        def crash(probs, rng):
+            raise RuntimeError("no draw")
+
+        monkeypatch.setattr(k.constructions, "sample_indicator", crash)
+        sequential = self._sequential(monkeypatch)
+        _cpus(monkeypatch, 2)
+        got = k.run_verify(6007, 1, 3)
+        assert len(forks) == 1
+        assert _strip_runtime(got.to_dict()) == sequential
+        assert got.checks[-1].measured == {"error": "RuntimeError: no draw"}
+        assert all(c.passed for c in got.checks[:-1])
+
+    def test_worker_numpy_allocation_failure_exits_2(self, monkeypatch, capsys, forks):
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(
+            k.constructions, "sample_indicator", lambda probs, rng: _allocate_too_much(probs)
+        )
+        assert main(self._ARGV) == 2
+        assert len(forks) == 1
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err.startswith(_TOO_MUCH)
+
+    def test_worker_memory_error_after_a_failed_chain_stage_is_skipped(
+        self, monkeypatch, capsys, forks, failing_freiman_check, tmp_path
+    ):
+        # in order, the chain fails first, so the sampling stage is never read: exit 1
+        monkeypatch.setattr(
+            k.constructions, "sample_indicator", lambda probs, rng: _allocate_too_much(probs)
+        )
+        sequential = self._sequential(monkeypatch)
+        _cpus(monkeypatch, 2)
+        out = tmp_path / "verify.json"
+        assert main(self._ARGV + ["--out", str(out)]) == 1
+        assert len(forks) == 1
+        assert "[FAIL] freiman_embedding" in capsys.readouterr().out
+        assert _strip_runtime(k.load_report(out).to_dict()) == sequential
+
+    def test_worker_without_a_result_is_recomputed(self, monkeypatch, forks):
+        sequential = self._sequential(monkeypatch)
+        _exit_in_worker_before_writing(monkeypatch)
+        _cpus(monkeypatch, 2)
+        assert _strip_runtime(k.run_verify(6007, 1, 3).to_dict()) == sequential
+        assert len(forks) == 1
+
+    def test_interrupted_parent_kills_its_worker(self, monkeypatch, forks):
+        class Interrupt(BaseException):
+            pass
+
+        def stall(probs, rng):
+            time.sleep(60)
+
+        def interrupt():
+            raise Interrupt
+
+        monkeypatch.setattr(k.constructions, "sample_indicator", stall)
+        monkeypatch.setattr(k.constructions, "freiman_check", interrupt)
+        _cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            k.run_verify(6007, 1, 3)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+
+    def test_parts_concatenate_in_part_order_and_end_at_a_failure(self, monkeypatch, forks):
+        # the worker takes the third part and then the second; each part stops
+        # at its first failure
+        parent = os.getpid()
+
+        def results(tag, fail_at):
+            for i in range(3):
+                if i == fail_at:
+                    raise RuntimeError(f"{tag}{i}")
+                yield tag, i, os.getpid() == parent
+
+        parts = [
+            (3, functools.partial(results, "a", 1)),
+            (2, functools.partial(results, "b", None)),
+            (3, functools.partial(results, "c", 2)),
+        ]
+        _cpus(monkeypatch, 2)
+        outcomes = report._outcomes_across_processes(parts, [5, 2, 3])
+        assert len(forks) == 1
+        assert [o.result for o in outcomes] == [
+            ("a", 0, True), None, ("b", 0, False), ("b", 1, False), ("c", 0, False),
+            ("c", 1, False), None,
+        ]
+        assert [o.error for o in outcomes if o.error] == [
+            ("RuntimeError", "a1"), ("RuntimeError", "c2")
+        ]
 
 
 class TestRunDemo:
@@ -661,7 +818,9 @@ class TestStageTables:
     so no yield is left unrecorded and no row is left without a result."""
 
     def test_verify_yields_one_result_per_row(self):
-        results = list(report._verify_results(k.make_modulus(6007), 0, 1))
+        # the chain, then the sampling stage
+        m = k.make_modulus(6007)
+        results = [*report._verify_results(m, 0), *report._sampling_results(m, 0, 1)]
         assert len(results) == len(report._VERIFY_STAGES)
         assert all(len(result) == 4 for result in results)
 
