@@ -256,12 +256,9 @@ def _support_pair_sum(arrays: list[np.ndarray], q: int) -> int | float | complex
         keep = np.ones((first.shape[0], z_first.size), dtype=bool)
         for e, prefix in windows:
             # (1 - e) and e have opposite signs, so the window's ends are
-            # reached at opposite corners of the block pair
-            if e < 0:
-                lo, hi = (1 - e) * first + e * z_last, (1 - e) * last + e * z_first
-            else:
-                lo, hi = (1 - e) * last + e * z_first, (1 - e) * first + e * z_last
-            ends = np.stack((lo, hi + 1))
+            # reached at the two anti-diagonal corners of the block pair
+            a, b = (1 - e) * first + e * z_last, (1 - e) * last + e * z_first
+            ends = np.stack((np.minimum(a, b), np.maximum(a, b) + 1))
             laps, at = np.divmod(ends, n)
             below = laps * prefix[n] + prefix[at]  # support points below each end, counted from 0
             keep &= below[1] > below[0]

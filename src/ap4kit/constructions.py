@@ -14,6 +14,7 @@ rounding turns it into an actual subset of Z_n of density about 1/2 whose
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -176,10 +177,6 @@ def embed_triple(a: int, b: int, c: int) -> int:
     return a + 8 * b + 64 * c
 
 
-def _default_embedding(p: tuple) -> int:
-    return embed_triple(*p)
-
-
 def freiman_check(
     embedding: Callable[[tuple], int] | None = None,
     points: Iterable[tuple] | None = None,
@@ -201,14 +198,12 @@ def freiman_check(
     another vector; the earlier pair is the first pair with its vector in
     the first case and with its image in the second.
     """
-    if embedding is None:
-        embedding = _default_embedding
     pts = list(points) if points is not None else [
         p for p in itertools.product(*(range(1, GRID_SIDE + 1),) * 3)
     ]
     if not pts:
         return FreimanCheck(True, None)
-    phi = np.array([embedding(p) for p in pts])
+    phi = np.array([embed_triple(*p) if embedding is None else embedding(p) for p in pts])
     # every image difference must fit in int64
     if phi.dtype.kind != "i" or int(phi.max()) - int(phi.min()) >= 2**63:
         raise ValueError("embedding images must be int64 integers less than 2^63 apart")
@@ -216,15 +211,11 @@ def freiman_check(
     coords = np.array(pts)
     if coords.ndim != 2 or coords.dtype.kind != "i":
         raise ValueError("domain points must be integer tuples of one length")
-    coords = coords.astype(np.int64) - coords.min(axis=0)
-    weights = []
-    radix = 1
-    for span in coords.max(axis=0)[::-1].tolist():
-        weights.append(radix)
-        radix *= 2 * span + 1
-    if radix >= 2**63:
+    low = coords.min(axis=0).tolist()
+    radices = [2 * (hi - lo) + 1 for hi, lo in zip(coords.max(axis=0).tolist(), low)]
+    if math.prod(radices) >= 2**63:
         raise ValueError("the domain's difference vectors do not fit one int64 key")
-    key = coords @ np.array(weights[::-1], dtype=np.int64)
+    key = np.ravel_multi_index(tuple((coords.astype(np.int64) - low).T), radices)
 
     def first_with_same(values):
         """For each pair, the index of the first pair with the same value."""

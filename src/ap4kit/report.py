@@ -3,9 +3,9 @@
 ``log n`` means the natural logarithm in every bound here.  Some stated
 ceilings cannot fail at desk-scale moduli (for example 512 n^-1/2 ln n is far
 above the trivial coefficient cap of a [-4, 4]-valued signal); those checks
-still run, but carry ``vacuous_at_this_n: true`` and their measured values
-feed the scaling report, which is where the n^-1/2 ln n behaviour is actually
-exercised.
+still run, but carry ``vacuous_at_this_n: true``.  The scaling report, which
+measures G's uniformity and |EG - 2 EF| itself across moduli, is where the
+n^-1/2 ln n behaviour is actually exercised.
 
 A check record pairs a measured quantity with the bound it must stay under.
 When ``bound`` is non-null, ``measured`` is a number or a dict whose "value"
@@ -153,33 +153,13 @@ class _Outcome(NamedTuple):
     runtime_ms: float
 
 
-def _measure(fn, *args) -> _Outcome:
-    """Call fn(*args) as a stage; an exception becomes the outcome's error.
-
-    Every MemoryError, numpy's subclass included, is named "MemoryError", the
-    name ``_records`` re-raises.
-    """
-    t0 = time.perf_counter()
-    try:
-        return _Outcome(fn(*args), None, 1000.0 * (time.perf_counter() - t0))
-    except Exception as exc:  # a failed stage is recorded; the report is kept
-        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        return _Outcome(None, (kind, str(exc)), 1000.0 * (time.perf_counter() - t0))
-
-
-def _stage_outcomes(results):
-    """The outcome of each next result of the pipeline generator results, lazily."""
-    return map(_measure, itertools.repeat(functools.partial(next, results)))
-
-
 def _records(stages, outcomes) -> list[CheckRecord]:
     """One check per (name, claim_ref) row of stages, each from the next of outcomes.
 
     A pipeline is a generator that yields one (measured, bound, passed,
     vacuous) result per stage, so a stage is the code before its yield, and
-    ``_stage_outcomes`` measures each as it is read; worker processes hand
-    over outcomes already measured.  After a stage that raised, no further
-    outcome is read, so no generator is resumed, and every later row is
+    ``_outcomes`` measures each, in this process or in a worker.  After a
+    stage that raised, no further outcome is read and every later row is
     skipped.  MemoryError is the one exception that propagates: a host
     without the memory for a stage is an input error for the caller, not a
     failed check.
@@ -202,13 +182,26 @@ def _records(stages, outcomes) -> list[CheckRecord]:
     return checks
 
 
-def _part_outcomes(rows: int, results) -> list[_Outcome]:
+def _outcomes(rows: int, results) -> list[_Outcome]:
     """The outcomes of the first ``rows`` stages of the pipeline generator
-    that results() makes, ending at its first failed stage."""
+    that results() makes, ending at its first stage that raised.
+
+    A stage is one ``next`` of the generator, timed as it runs.  An
+    exception becomes the outcome's error, StopIteration from a generator
+    that ended early included, and every MemoryError, numpy's subclass
+    included, is named "MemoryError", the name ``_records`` re-raises.
+    """
     outcomes = []
-    for outcome in itertools.islice(_stage_outcomes(results()), rows):
-        outcomes.append(outcome)
-        if outcome.error is not None:
+    stages = results()
+    for _ in range(rows):
+        t0 = time.perf_counter()
+        try:
+            result, error = next(stages), None
+        except Exception as exc:  # a failed stage is recorded; the report is kept
+            kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            result, error = None, (kind, str(exc))
+        outcomes.append(_Outcome(result, error, 1000.0 * (time.perf_counter() - t0)))
+        if error is not None:
             break
     return outcomes
 
@@ -219,8 +212,8 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
 
     A part is a (rows, results) pair: ``rows`` consecutive rows of a stage
     table, computed by the pipeline generator that results() makes.  Its
-    outcomes are those of ``_part_outcomes``, so they end at its first
-    failed stage.  The parts of one call are consecutive runs of one
+    outcomes are those of ``_outcomes``, so they end at its first failed
+    stage.  The parts of one call are consecutive runs of one
     table, so ``_records`` reads the result as it reads one pipeline run
     in this process: it stops at the first failed stage, and the outcomes
     of later parts are never read.
@@ -229,10 +222,11 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
     with the least total size so far (the first such share on a tie).  This
     process computes the first share and forks one worker per other share;
     a worker pickles its share's outcomes to a pipe and leaves through
-    ``os._exit``, so it runs none of this process's clean-up.  A worker that exits without a
-    complete result has its share recomputed here, and so has a share whose
-    pipe or fork failed.  Off Linux, or with one CPU or one part, nothing is forked
-    and every part is computed here in the same way.  Before this returns
+    ``os._exit``, so it runs none of this process's clean-up.  Once every
+    worker is reaped, every part that no worker delivered is computed here:
+    a share whose pipe or fork failed, or whose worker exited other than
+    with 0.  Off Linux, or with one CPU or one part, nothing is forked and
+    every part is computed here in the same way.  Before this returns
     or raises, every worker has been killed, if it was still running, and
     reaped, and every pipe is closed.
 
@@ -247,7 +241,6 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
         j = totals.index(min(totals))
         shares[j].append(i)
         totals[j] += sizes[i]
-    here = shares[0]
     workers = []  # (pid, read end of its pipe, its share), until it is reaped
     outcomes: list[list[_Outcome] | None] = [None] * len(parts)
     try:
@@ -256,24 +249,23 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
             try:
                 ends = os.pipe()
                 pid = os.fork()
-            except OSError:  # no pipe (EMFILE) or no fork (EAGAIN): the share is computed here
+            except OSError:  # no pipe (EMFILE) or no fork (EAGAIN): the share is computed below
                 for end in ends:
                     os.close(end)
-                here.extend(share)
                 continue
             read_end, write_end = ends
             if pid == 0:  # the worker
                 status = 1
                 try:
                     with open(write_end, "wb") as pipe:
-                        pickle.dump([_part_outcomes(*parts[i]) for i in share], pipe)
+                        pickle.dump([_outcomes(*parts[i]) for i in share], pipe)
                     status = 0
                 finally:
                     os._exit(status)
             workers.append((pid, open(read_end, "rb"), share))
             os.close(write_end)
-        for i in here:
-            outcomes[i] = _part_outcomes(*parts[i])
+        for i in shares[0]:
+            outcomes[i] = _outcomes(*parts[i])
         while workers:
             pid, reader, share = workers[0]
             data = reader.read()
@@ -283,9 +275,6 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
             if status == 0:
                 for i, part in zip(share, pickle.loads(data)):
                     outcomes[i] = part
-            else:
-                for i in share:
-                    outcomes[i] = _part_outcomes(*parts[i])
     finally:
         if workers:  # this process raised while they ran
             import signal  # here, so that importing report loads nothing new
@@ -294,6 +283,9 @@ def _outcomes_across_processes(parts: list, sizes: list[int]) -> list[_Outcome]:
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    for i, part in enumerate(outcomes):
+        if part is None:  # no worker delivered it
+            outcomes[i] = _outcomes(*parts[i])
     return list(itertools.chain.from_iterable(outcomes))
 
 
@@ -602,6 +594,8 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
     n_list and then the ratios, so a failed or out-of-memory measurement is
     reported as if the moduli had run in that order: the report is the same
     apart from runtime_ms, which each process measures for its own moduli.
+    The ratios are one more pipeline, run here by ``_outcomes`` once every
+    measurement has a result.
     """
     if not n_list:
         raise ValueError("the scaling series needs at least one modulus")
@@ -615,10 +609,10 @@ def run_scaling(n_list: list[int]) -> VerificationReport:
         (f"scaling_ratio@{ma.n}->{mb.n}", "consecutive-normalized-ratios-in-[0.1,10]")
         for ma, mb in itertools.pairwise(moduli)
     ]
-    # The ratios are first resumed only once every measurement passed, so
-    # the rows they read are all measured.
-    ratios = _ratio_results(o.result[0] for o in outcomes)
-    checks = _records(stages, itertools.chain(outcomes, _stage_outcomes(ratios)))
+    if all(o.error is None for o in outcomes):
+        rows = [o.result[0] for o in outcomes]
+        outcomes += _outcomes(len(moduli) - 1, functools.partial(_ratio_results, rows))
+    checks = _records(stages, outcomes)
     return VerificationReport(SCHEMA_VERSION, "scaling", n_list[0], 0, checks)
 
 
@@ -654,7 +648,8 @@ def run_demo_quadratic(n: int, c: float) -> VerificationReport:
     if not 0.0 < c < 0.25:
         # checked before the stages so that a bad c is an input error, not a failed check
         raise ValueError("c must lie in (0, 1/4)")
-    checks = _records(_DEMO_STAGES, _stage_outcomes(_demo_results(m, c)))
+    outcomes = _outcomes(len(_DEMO_STAGES), functools.partial(_demo_results, m, c))
+    checks = _records(_DEMO_STAGES, outcomes)
     return VerificationReport(SCHEMA_VERSION, "demo-quad", n, 0, checks)
 
 

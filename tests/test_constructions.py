@@ -223,6 +223,17 @@ class TestSignGridAndLift:
                 k.freiman_check(lambda p: 0, pts)
         assert k.freiman_check(lambda p: 3 * p[0], [(0,), (2**61,)]).ok
 
+    def test_freiman_rejects_a_coordinate_spanning_2_63(self, freiman_check_loop):
+        # the coordinate spans 2^63, so its difference vectors +2^63 and -2^63
+        # have no int64 key; the pair loop, which needs none, finds no collision
+        pts, embedding = [(2**62,), (-(2**62),)], lambda p: -(p[0] // 2**40)
+        assert freiman_check_loop(embedding, pts).ok
+        with pytest.raises(ValueError):
+            k.freiman_check(embedding, pts)
+
+    def test_freiman_empty_domain(self):
+        assert k.freiman_check(points=[]) == k.constructions.FreimanCheck(True, None)
+
     def test_lift_values(self):
         f = k.lift_signal(k.sign_grid(k.reference_design()))
         assert f.value_at(73) == 1

@@ -419,3 +419,7 @@ def test_signal_length_checked():
     m = k.make_modulus(11)
     with pytest.raises(ValueError):
         k.ZnSignal(m, np.zeros(10))
+
+
+def test_signal_length_is_the_modulus():
+    assert len(k.ZnSignal(k.make_modulus(11), np.zeros(11))) == 11

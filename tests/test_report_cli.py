@@ -105,21 +105,30 @@ class TestProductExpansion:
     def test_each_distinct_term_once(self, monkeypatch):
         # the sizes 0, 1 and 2, the two gap patterns of size 3, and P itself:
         # 6 calls, where one call per term, the lead term and P made 17.
-        # Each stage of verify is one _measure call, in _VERIFY_STAGES order,
-        # when one process runs them all.
+        # Each stage of verify is one next of its pipeline generators, which
+        # run in _VERIFY_STAGES order when one process runs them all.
         _cpus(monkeypatch, 1)
         stages, calls = [], []
-        measure, mean = report._measure, report.apk_mean_zn
+        mean = report.apk_mean_zn
 
-        def measure_spy(fn, *args):
-            stages.append(report._VERIFY_STAGES[len(stages)][0])
-            return measure(fn, *args)
+        def recording(results, rows):
+            def spy(*args):
+                run = results(*args)
+                for name, _ in rows:
+                    stages.append(name)
+                    yield next(run)
+
+            return spy
 
         def mean_spy(signals):
             calls.append(stages[-1])
             return mean(signals)
 
-        monkeypatch.setattr(report, "_measure", measure_spy)
+        chain, sampling = report._VERIFY_STAGES[:-1], report._VERIFY_STAGES[-1:]
+        monkeypatch.setattr(report, "_verify_results", recording(report._verify_results, chain))
+        monkeypatch.setattr(
+            report, "_sampling_results", recording(report._sampling_results, sampling)
+        )
         monkeypatch.setattr(report, "apk_mean_zn", mean_spy)
         assert k.run_verify(6007, seed=1, trials=1).passed()
         assert stages == EXPECTED_VERIFY_CHECKS
@@ -682,6 +691,26 @@ class TestVerifyWorkers(_Forking):
             k.run_verify(6007, 1, 3)
         assert time.monotonic() - start < 30
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_short_pipeline_fails_its_next_row(self, monkeypatch, forks, cpus):
+        # a generator that ends after one of its three rows fails the second
+        # with StopIteration, and every later row is skipped; with two CPUs
+        # it is the worker's part
+        def short():
+            yield {"value": 1}, None, True, False
+
+        def full():
+            yield {"value": 2}, None, True, False
+
+        _cpus(monkeypatch, cpus)
+        outcomes = report._outcomes_across_processes([(3, short), (1, full)], [1, 2])
+        assert len(forks) == cpus - 1
+        checks = report._records(_ROWS, outcomes)
+        assert checks[0].passed and checks[0].measured == {"value": 1}
+        assert checks[1].passed is False
+        assert checks[1].measured == {"error": "StopIteration: "}
+        assert all(c.skipped and c.passed is None for c in checks[2:])
 
     def test_parts_concatenate_in_part_order_and_end_at_a_failure(self, monkeypatch, forks):
         # the worker takes the third part and then the second; each part stops
